@@ -109,6 +109,21 @@ std::size_t Registry::size() const {
   return entries_.size();
 }
 
+std::int64_t Registry::total(const std::string& name) const {
+  const MutexLock lock(mu_);
+  // Keys are name + ('\x1f' label)*, and '\x1f' sorts below every printable
+  // character, so all label sets of `name` sit in one run from lower_bound.
+  std::int64_t sum = 0;
+  for (auto it = entries_.lower_bound(name); it != entries_.end(); ++it) {
+    const std::string& key = it->first;
+    if (key.compare(0, name.size(), name) != 0 ||
+        (key.size() > name.size() && key[name.size()] != '\x1f'))
+      break;
+    if (it->second.kind == Kind::kCounter) sum += it->second.c->value();
+  }
+  return sum;
+}
+
 void Registry::clear() {
   const MutexLock lock(mu_);
   entries_.clear();

@@ -101,6 +101,11 @@ class Registry {
   std::size_t size() const;
   void clear();
 
+  /// Sum of every counter named `name`, across all label sets (0 when none
+  /// exists).  Soak oracles read run totals through this instead of
+  /// re-parsing to_json().
+  std::int64_t total(const std::string& name) const;
+
   /// Snapshot as a JSON object: {"meta":{...},"metrics":[...]}.  `meta`
   /// entries (e.g. bench name, run parameters) are emitted as strings.
   std::string to_json(const Labels& meta = {}) const;

@@ -6,6 +6,7 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "sim/executor.h"
 #include "util/logging.h"
 
 namespace cmtos::orch {
@@ -20,8 +21,19 @@ FailoverSupervisor::FailoverSupervisor(sim::Scheduler& sched, Orchestrator& orch
       cfg_(cfg) {}
 
 FailoverSupervisor::~FailoverSupervisor() {
+  *live_ = false;
   timer_.cancel();
   retry_timer_.cancel();
+}
+
+HloAgent::ResultFn FailoverSupervisor::serially(HloAgent::ResultFn fn) {
+  return [live = live_, fn = std::move(fn)](bool ok, OrchReason reason) {
+    sim::Executor::run_serial([live, fn, ok, reason] {
+      if (!*live) return;
+      CMTOS_ASSERT_SERIAL();
+      fn(ok, reason);
+    });
+  };
 }
 
 void FailoverSupervisor::watch(std::unique_ptr<OrchSession> session) {
@@ -39,6 +51,7 @@ void FailoverSupervisor::check() {
 }
 
 void FailoverSupervisor::poll() {
+  CMTOS_ASSERT_SERIAL();
   retired_.clear();  // safe here: never called from an agent callback
   // A superseded predecessor has self-retired at the protocol level (its
   // first post-heal OPDU was fenced); now its object can go too.
@@ -126,7 +139,7 @@ void FailoverSupervisor::attempt_rebuild() {
   const std::uint32_t epoch = ++epoch_;
   auto next = orch_.orchestrate(
       recovery_.survivors, recovery_.policy,
-      [this, gen](bool ok, OrchReason reason) {
+      serially([this, gen](bool ok, OrchReason reason) {
         if (gen != generation_ || session_ == nullptr) return;
         if (!ok) {
           CMTOS_WARN("failover", "re-established session rejected: %s", to_string(reason));
@@ -140,11 +153,11 @@ void FailoverSupervisor::attempt_rebuild() {
         // endpoint attachments from here.  kSessRel is epoch-exempt.
         if (Llo* llo = resolve_(new_node))
           llo->release_remote(recovery_.old_session, recovery_.stale_vcs);
-        session_->prime(false, [this, gen, new_node](bool primed, OrchReason) {
+        session_->prime(false, serially([this, gen, new_node](bool primed, OrchReason) {
           if (gen != generation_ || session_ == nullptr) return;
           if (!primed)
             CMTOS_WARN("failover", "re-prime incomplete; starting survivors anyway");
-          session_->start([this, gen, new_node](bool started, OrchReason) {
+          session_->start(serially([this, gen, new_node](bool started, OrchReason) {
             if (gen != generation_ || session_ == nullptr) return;
             if (!started) {
               retired_.push_back(std::move(session_));
@@ -174,9 +187,9 @@ void FailoverSupervisor::attempt_rebuild() {
                        new_node, session_->agent().epoch(), recovery_.survivors.size());
             notify_reassigned();
             if (on_failover_) on_failover_(recovery_.old_node, new_node);
-          });
-        });
-      },
+          }));
+        }));
+      }),
       epoch);
   if (next == nullptr) {
     // No LLO at the elected node (resolver gap); it may resolve later.
@@ -237,6 +250,7 @@ FailoverSupervisor& FailoverFleet::watch(std::unique_ptr<OrchSession> session) {
 }
 
 void FailoverFleet::reindex(std::size_t entry) {
+  CMTOS_ASSERT_SERIAL();
   Entry& e = entries_[entry];
   const net::NodeId now_at = e.sup->indexed_node();
   if (now_at == e.node) return;
@@ -251,6 +265,7 @@ void FailoverFleet::reindex(std::size_t entry) {
 }
 
 void FailoverFleet::tick() {
+  CMTOS_ASSERT_SERIAL();
   std::size_t polls = 0;
   // One liveness probe per distinct orchestrating node.  poll() can fail a
   // session over, which reindexes buckets mid-iteration — snapshot first.

@@ -132,6 +132,11 @@ class CMTOS_CONTROL_PLANE FailoverSupervisor {
     if (on_reassigned_) on_reassigned_();
   }
 
+  /// Wraps a result callback of the supervised agent: it fires on the
+  /// orchestrating node's shard, possibly in a parallel round, but reaches
+  /// the fleet index and on_failover consumers, so it is handed to a serial
+  /// round (and dropped if the supervisor is gone by then).
+  HloAgent::ResultFn serially(HloAgent::ResultFn fn);
   void fail_over(const char* cause, bool node_dead);
   void attempt_rebuild();
   void retry_or_orphan();
@@ -174,6 +179,9 @@ class CMTOS_CONTROL_PLANE FailoverSupervisor {
   bool polled_ = false;  // fleet-paced: check() never self-schedules
   std::function<void(net::NodeId, net::NodeId)> on_failover_;
   std::function<void()> on_reassigned_;  // fleet index maintenance hook
+  /// Fence for result callbacks still queued for a serial round when the
+  /// supervisor dies.
+  std::shared_ptr<bool> live_ = std::make_shared<bool>(true);
 };
 
 /// Supervises a whole fleet of orchestration sessions with detection work

@@ -7,7 +7,6 @@
 
 #include "obs/metrics.h"
 #include "sim/executor.h"
-#include "sim/node_runtime.h"
 
 namespace cmtos::orch {
 
@@ -15,6 +14,9 @@ namespace {
 
 /// Fan-in gate: fires `done` once all `n` domain confirms arrived, with the
 /// conjunction and the first failure reason (kOk when all succeeded).
+/// Confirms arrive on each domain orchestrator's shard, possibly in one
+/// parallel round, so every arrival is handed to a serial round before it
+/// touches the shared count.
 HloAgent::ResultFn make_barrier(std::size_t n, HloAgent::ResultFn done) {
   struct State {
     std::size_t pending;
@@ -23,11 +25,14 @@ HloAgent::ResultFn make_barrier(std::size_t n, HloAgent::ResultFn done) {
   };
   auto st = std::make_shared<State>(State{n});
   return [st, done = std::move(done)](bool ok, OrchReason reason) {
-    if (!ok && st->all_ok) {
-      st->all_ok = false;
-      st->reason = reason;
-    }
-    if (--st->pending == 0 && done) done(st->all_ok, st->reason);
+    sim::Executor::run_serial([st, done, ok, reason] {
+      CMTOS_ASSERT_SERIAL();
+      if (!ok && st->all_ok) {
+        st->all_ok = false;
+        st->reason = reason;
+      }
+      if (--st->pending == 0 && done) done(st->all_ok, st->reason);
+    });
   };
 }
 
@@ -143,19 +148,15 @@ void FederatedHlo::wire(std::size_t i) {
     // Fires on the domain's orchestrating shard; the root's state is
     // cross-domain shared state, so detour through a serial round.  The
     // deferred event is merged deterministically at every thread count.
-    auto apply = [this, i, gen, alive, agg] {
+    sim::Executor::run_serial([this, i, gen, alive, agg] {
       if (!*alive) return;
       ingest(i, gen, agg);
-    };
-    if (sim::NodeRuntime* rt = sim::Executor::current(); rt != nullptr) {
-      rt->defer_global(std::move(apply));
-    } else {
-      apply();
-    }
+    });
   });
 }
 
 void FederatedHlo::ingest(std::size_t i, std::uint64_t gen, const DomainAggregate& agg) {
+  CMTOS_ASSERT_SERIAL();
   DomainState& d = domains_[i];
   if (gen != d.gen) return;  // fenced: a replacement agent owns this slot now
   d.have = true;

@@ -20,11 +20,13 @@
 // up or down a few percent while preserving the intra-domain rate ratios
 // that encode the synchronisation relationship.
 //
-// Determinism: a domain agent's aggregate callback fires on the
-// orchestrating node's shard.  The root's state is cross-domain shared
-// state, so ingestion is marshalled through defer_global — the aggregate
-// is applied in a serial executor round, in merged deterministic order, at
-// every --threads count alike.
+// Determinism: a domain agent's aggregate and result callbacks fire on the
+// orchestrating node's shard.  The root's state and the orchestrate/prime/
+// start/stop barriers are cross-domain shared state, so aggregate ingestion
+// and every barrier arrival are marshalled into a serial executor round
+// (sim::Executor::run_serial), in merged deterministic order, at every
+// --threads count alike.  Both paths assert they never run inside a
+// parallel round, so a regression fails on one core.
 //
 // Failover composes per domain (PR 8 epoch fencing unchanged): hand the
 // domain sessions to a FailoverFleet via adopt_failover() and a crashed

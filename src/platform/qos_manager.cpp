@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "sim/executor.h"
 #include "util/contract.h"
 #include "util/logging.h"
 
@@ -179,9 +180,11 @@ void QosManager::unmanage(Stream& stream) {
 
 void QosManager::attach_agent(orch::HloAgent& agent) {
   agent_ = &agent;
+  // Escalations fire on the orchestrating node's shard; the ladders span
+  // every managed stream, so the policy runs in a serial round.
   agent.set_escalation_callback(
       [this](transport::VcId vc, orch::MissDiagnosis d, const orch::RegulateIndication&) {
-        on_escalation(vc, d);
+        sim::Executor::run_serial([this, vc, d] { on_escalation(vc, d); });
       });
 }
 
@@ -204,6 +207,7 @@ int QosManager::ladder_level(const Stream& stream) const {
 }
 
 void QosManager::on_indication(Managed& m, const transport::QosReport& report) {
+  CMTOS_ASSERT_SERIAL();
   const Time now = platform_.scheduler().now();
   m.last_violation = now;
   if (now < m.settle_until) {
@@ -228,6 +232,7 @@ void QosManager::on_indication(Managed& m, const transport::QosReport& report) {
 }
 
 void QosManager::tick() {
+  CMTOS_ASSERT_SERIAL();
   const Time now = platform_.scheduler().now();
   for (auto& m : managed_) {
     if (!m->stream->connected()) continue;
@@ -240,6 +245,7 @@ void QosManager::tick() {
 }
 
 void QosManager::on_escalation(transport::VcId vc, orch::MissDiagnosis diagnosis) {
+  CMTOS_ASSERT_SERIAL();
   if (diagnosis != orch::MissDiagnosis::kTransportTooSlow &&
       diagnosis != orch::MissDiagnosis::kSinkAppSlow)
     return;
@@ -291,6 +297,7 @@ void QosManager::apply(Managed& m, LadderState::Action act) {
   m.stream->change_qos(
       rung.media, rung.tolerance,
       [this, raw, act, vc](bool ok, transport::QosParams agreed) {
+        CMTOS_ASSERT_SERIAL();
         raw->state.note_applied(act, ok);
         raw->level_gauge->set(raw->state.level());
         if (ok) raw->settle_until = platform_.scheduler().now() + cfg_.settle_after_change;

@@ -4,6 +4,7 @@
 
 #include "obs/trace.h"
 #include "util/contract.h"
+#include "util/logging.h"
 
 namespace cmtos::sim {
 namespace {
@@ -167,6 +168,7 @@ void Executor::run_parallel_round(Time horizon) {
   }
   parallel_phase_ = false;
   fired_ += round_fired_.load(std::memory_order_relaxed);
+  for (auto& s : shards_) flush_log_buffer(s->log_buf_);
   drain_outboxes();
 }
 
@@ -177,6 +179,7 @@ void Executor::work_round() {
     const std::uint32_t i = round_next_.fetch_add(1, std::memory_order_relaxed);
     if (i >= n) break;
     NodeRuntime& s = *shards_[i];
+    set_thread_log_buffer(&s.log_buf_);
     for (;;) {
       const NodeRuntime::HeapEntry* h = s.head();
       if (h == nullptr || h->time >= round_horizon_) break;
@@ -187,6 +190,7 @@ void Executor::work_round() {
       ++fired;
     }
   }
+  set_thread_log_buffer(nullptr);
   round_fired_.fetch_add(fired, std::memory_order_relaxed);
 }
 

@@ -19,7 +19,8 @@
 //   4. Barrier: schedule calls that targeted another shard during a
 //      parallel round were buffered in per-shard outboxes; they are applied
 //      in deterministic (source time, source shard, source seq, index)
-//      order.
+//      order.  Log lines emitted during the round were parked per shard
+//      too and are written out in shard order.
 //
 // The same classification and execution rules run at every worker count:
 // at --threads 1 a "parallel" round simply visits the shards sequentially.
@@ -35,6 +36,7 @@
 #include <vector>
 
 #include "sim/node_runtime.h"
+#include "util/contract.h"
 #include "util/sync.h"
 #include "util/time.h"
 
@@ -81,6 +83,24 @@ class Executor {
   /// True while a parallel round is executing (cross-shard schedule calls
   /// must detour through the outbox instead of touching foreign heaps).
   bool in_parallel_round() const { return parallel_phase_; }
+
+  /// True while this thread runs an event of a parallel round.  The
+  /// CMTOS_CONTROL_PLANE classes assert it is false (CMTOS_ASSERT_SERIAL)
+  /// wherever they touch state shared across shards.
+  static bool in_parallel_event() {
+    return current_ != nullptr && current_->executor().in_parallel_round();
+  }
+
+  /// Hands `fn` to a serial round: from inside an event it is deferred as
+  /// a global event at the current time (merged in deterministic order at
+  /// every worker count); outside event context it runs inline.
+  static void run_serial(EventFn fn) {
+    if (current_ != nullptr) {
+      current_->defer_global(std::move(fn));
+    } else {
+      fn();
+    }
+  }
 
   /// Live events across all shards.
   std::size_t live_events() const;
@@ -137,3 +157,11 @@ class Executor {
 };
 
 }  // namespace cmtos::sim
+
+/// Control-plane entry points touching state shared across shards: must not
+/// run inside a parallel round.  Live in release builds, and round
+/// classification does not depend on the worker count, so a violation
+/// shows at --threads 1 too.
+#define CMTOS_ASSERT_SERIAL()                                    \
+  CMTOS_ASSERT(!::cmtos::sim::Executor::in_parallel_event(),     \
+               "control_plane.parallel_round")

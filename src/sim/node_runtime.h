@@ -39,6 +39,7 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "sim/event_fn.h"
@@ -237,6 +238,7 @@ class NodeRuntime {
   std::size_t dead_entries_ = 0;  // dead entries still in heap_/wheel/far
   std::atomic<std::size_t> live_{0};
   std::vector<Deferred> outbox_;
+  std::string log_buf_;  // log lines parked during a parallel round
   Rng rng_;
 
   static constexpr std::uint32_t kNoFreeSlot = 0xffffffffu;

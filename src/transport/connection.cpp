@@ -36,9 +36,6 @@ const char* to_string(VcState s) {
 }
 
 namespace {
-/// Data TPDU payload limit (transport MTU); OSDUs larger than this are
-/// segmented and reassembled with boundaries preserved (§3.7).
-constexpr std::size_t kMaxTpduPayload = 1400;
 /// Receiver feedback cadence for the rate profile.
 constexpr Duration kFeedbackPeriod = 20 * kMillisecond;
 /// NAK retry interval and cap (error-correction class).
@@ -305,8 +302,8 @@ void Connection::refill_txq() {
   auto osdu = buffer_.try_pop(sched_.now());
   if (!osdu) return;  // protocol thread blocks on the empty ring
   const std::size_t total = osdu->data.size();
-  const std::uint16_t frag_count =
-      static_cast<std::uint16_t>(total == 0 ? 1 : (total + kMaxTpduPayload - 1) / kMaxTpduPayload);
+  const auto frag_count =
+      static_cast<std::uint16_t>(tpdus_for(static_cast<std::int64_t>(total)));
   for (std::uint16_t f = 0; f < frag_count; ++f) {
     DataTpdu dt;
     dt.vc = id_;
@@ -558,9 +555,7 @@ void Connection::on_data(const net::Packet& pkt) {
   handle_data_tpdu(std::move(*dt), pkt.wire_size());
 
   if (window) {
-    const std::uint16_t frags_per_osdu = static_cast<std::uint16_t>(std::max<std::int64_t>(
-        1, (agreed_.max_osdu_bytes + static_cast<std::int64_t>(kMaxTpduPayload) - 1) /
-               static_cast<std::int64_t>(kMaxTpduPayload)));
+    const auto frags_per_osdu = static_cast<std::uint16_t>(tpdus_for(agreed_.max_osdu_bytes));
     const std::size_t backlog = delivery_queue_.size();
     const std::size_t free_for_net =
         buffer_.free_slots() > backlog ? buffer_.free_slots() - backlog : 0;

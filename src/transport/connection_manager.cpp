@@ -4,16 +4,12 @@
 
 #include "obs/metrics.h"
 #include "transport/connection.h"
+#include "transport/tpdu.h"
 #include "transport/transport_entity.h"
 #include "util/contract.h"
 #include "util/logging.h"
 
 namespace cmtos::transport {
-
-namespace {
-/// Worst-case wire bytes of one data TPDU, for path latency estimation.
-constexpr std::int64_t kMaxWirePacket = 1400 + 64 + 32;
-}  // namespace
 
 ConnectionManager::ConnectionManager(TransportEntity& entity, TimerSet& timers)
     : ent_(entity), timers_(timers) {}

@@ -5,19 +5,13 @@
 #include <cstdio>
 
 #include "net/packet.h"
+#include "transport/tpdu.h"
 
 namespace cmtos::transport {
 
-namespace {
-/// Data TPDU payload limit; OSDUs larger than this are segmented.
-constexpr std::int64_t kMaxTpduPayload = 1400;
-/// Transport header bytes per data TPDU (see tpdu.h; rounded up).
-constexpr std::int64_t kTpduHeaderBytes = 64;
-}  // namespace
-
 std::int64_t QosParams::required_bps() const {
   // Per OSDU: payload + per-fragment transport and network headers.
-  const std::int64_t frags = (max_osdu_bytes + kMaxTpduPayload - 1) / kMaxTpduPayload;
+  const std::int64_t frags = tpdus_for(max_osdu_bytes);
   const std::int64_t per_osdu_bytes =
       max_osdu_bytes +
       frags * (kTpduHeaderBytes + static_cast<std::int64_t>(net::kPacketHeaderBytes));

@@ -4,15 +4,11 @@
 #include <optional>
 
 #include "transport/connection.h"
+#include "transport/tpdu.h"
 #include "transport/transport_entity.h"
 #include "util/logging.h"
 
 namespace cmtos::transport {
-
-namespace {
-/// Worst-case wire bytes of one data TPDU, for path latency estimation.
-constexpr std::int64_t kMaxWirePacket = 1400 + 64 + 32;
-}  // namespace
 
 RenegotiationEngine::RenegotiationEngine(TransportEntity& entity, TimerSet& timers)
     : ent_(entity), timers_(timers) {}

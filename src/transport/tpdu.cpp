@@ -12,7 +12,7 @@ void set_fault(WireFault* fault, WireFault f) {
 }
 
 // Verifies and strips the CRC-32 trailer every control-plane TPDU carries.
-// With hardening off (the byzantine_soak contrast mode) the full span is
+// With hardening off (the byzantine soak contrast scenarios) the full span is
 // returned unverified — decoders ignore trailing bytes, so the 4-byte
 // trailer parses as garbage tolerance, exactly the pre-hardening stack.
 std::optional<std::span<const std::uint8_t>> checked_body(

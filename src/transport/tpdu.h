@@ -25,6 +25,22 @@
 
 namespace cmtos::transport {
 
+/// Data TPDU payload limit (the transport MTU); larger OSDUs are segmented
+/// and reassembled with boundaries preserved (§3.7).
+inline constexpr std::size_t kMaxTpduPayload = 1400;
+/// Transport header bytes per data TPDU (rounded up), for bandwidth sizing.
+inline constexpr std::int64_t kTpduHeaderBytes = 64;
+/// Worst-case wire bytes of one data TPDU, for path latency estimation.
+inline constexpr std::int64_t kMaxWirePacket =
+    static_cast<std::int64_t>(kMaxTpduPayload) + kTpduHeaderBytes +
+    static_cast<std::int64_t>(net::kPacketHeaderBytes);
+
+/// Data TPDUs one OSDU of `bytes` occupies; an empty OSDU still takes one.
+constexpr std::int64_t tpdus_for(std::int64_t bytes) {
+  constexpr auto kPayload = static_cast<std::int64_t>(kMaxTpduPayload);
+  return bytes <= 0 ? 1 : (bytes + kPayload - 1) / kPayload;
+}
+
 enum class TpduType : std::uint8_t {
   kCR = 1,    // connect request        (source entity -> dest entity)
   kCC = 2,    // connect confirm        (dest -> source)

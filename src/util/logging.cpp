@@ -17,6 +17,7 @@ namespace {
 std::atomic<LogLevel> g_level{LogLevel::kWarn};
 Mutex g_sink_mu;
 std::shared_ptr<const LogSink> g_sink CMTOS_GUARDED_BY(g_sink_mu);
+thread_local std::string* t_buffer = nullptr;
 
 const char* level_name(LogLevel l) {
   switch (l) {
@@ -41,6 +42,14 @@ void set_log_sink(LogSink sink) {
   g_sink = std::move(next);
 }
 
+void set_thread_log_buffer(std::string* buf) { t_buffer = buf; }
+
+void flush_log_buffer(std::string& buf) {
+  if (buf.empty()) return;
+  std::fputs(buf.c_str(), stderr);
+  buf.clear();
+}
+
 void log(LogLevel level, const char* tag, const char* fmt, ...) {
   if (static_cast<int>(level) < static_cast<int>(log_level())) return;
   // Format into one buffer and write the line with a single fputs so
@@ -60,7 +69,11 @@ void log(LogLevel level, const char* tag, const char* fmt, ...) {
 
   char line[600];
   std::snprintf(line, sizeof line, "[%s] %s: %s\n", level_name(level), tag, msg);
-  std::fputs(line, stderr);
+  if (t_buffer != nullptr) {
+    *t_buffer += line;
+  } else {
+    std::fputs(line, stderr);
+  }
 }
 
 }  // namespace cmtos

@@ -28,6 +28,15 @@ LogLevel log_level();
 using LogSink = std::function<void(LogLevel, const char* tag, const char* msg)>;
 void set_log_sink(LogSink sink);
 
+/// Parks this thread's stderr lines in `buf` instead of writing them
+/// (nullptr writes directly again); the sink still sees every line at once.
+/// The sharded executor points each shard of a parallel round at its own
+/// buffer and writes the buffers out in shard order at the round barrier,
+/// so log output is byte-identical at every worker count.
+void set_thread_log_buffer(std::string* buf);
+/// Writes the lines parked in `buf` to stderr with one call and clears it.
+void flush_log_buffer(std::string& buf);
+
 /// printf-style log statement.  `tag` names the subsystem ("transport",
 /// "llo", ...).
 void log(LogLevel level, const char* tag, const char* fmt, ...)

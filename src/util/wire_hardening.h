@@ -2,10 +2,11 @@
 //
 // Process-wide switch over the adversarial wire defences (DESIGN.md §14):
 // receive-path checksum verification, the GBN/reassembly duplicate guards,
-// and the per-peer malformed-PDU quarantine.  On by default; byzantine_soak
-// --no-hardening turns it off to reproduce the pre-hardening stack, where a
-// corruption storm feeds garbage straight into protocol state — the
-// contrast run that demonstrates the failure the defences prevent.
+// and the per-peer malformed-PDU quarantine.  On by default; the soak
+// scenarios byzantine_storm_unhardened and goodput_contrast turn it off to
+// reproduce the pre-hardening stack, where a corruption storm feeds garbage
+// straight into protocol state — the contrast run that demonstrates the
+// failure the defences prevent.
 //
 // Set it once before traffic starts (like the epoch-fencing switch); the
 // flag is atomic only so concurrent shard reads stay TSan-clean.

@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Sharded-runtime determinism regression check (DESIGN.md section 10).
 
-Runs the chaos, overload, byzantine and city soaks at --threads 1/2/8 with
-the same seed and asserts that the fault log (stdout+stderr) and the metric
-snapshot (--json) are byte-identical across thread counts.  --threads 1 is the determinism
+Runs every scenario `soak --list` names, at its default seed, once at
+--threads 1 and REPEATS times each at --threads 2/4/8, and asserts that the
+log (stdout+stderr) and the metric snapshot (--json) of every run are
+byte-identical to the --threads 1 run.  --threads 1 is the determinism
 oracle: the executor classifies and orders rounds identically at every
 worker count, so any divergence here is a cross-shard ordering bug, not
-noise.
+noise.  The repeats matter on multi-core hosts, where a race may lose only
+some of the time.
 
-Usage: determinism_check.py <chaos_soak-binary> <overload_soak-binary> \\
-                            <byzantine_soak-binary> <city_soak-binary>
+Usage: determinism_check.py <soak-binary>
 """
 
 import json
@@ -18,67 +19,48 @@ import sys
 import tempfile
 from pathlib import Path
 
-THREADS = [1, 2, 8]
-
-RUNS = [
-    ("chaos_soak", ["--scenario", "crash_mid_stream", "--seed", "5"]),
-    ("chaos_soak", ["--scenario", "partition_prime_start", "--seed", "5"]),
-    ("chaos_soak", ["--scenario", "orch_death", "--seed", "5"]),
-    ("chaos_soak", ["--scenario", "partition_heal_split_brain", "--seed", "5"]),
-    ("chaos_soak", ["--scenario", "orch_flap", "--seed", "5"]),
-    ("overload_soak", ["--scenario", "storm_recover", "--seed", "7"]),
-    ("overload_soak", ["--scenario", "preempt", "--seed", "7"]),
-    ("overload_soak", ["--scenario", "consumer_stall", "--seed", "7"]),
-    ("byzantine_soak", ["--scenario", "byzantine_storm", "--seed", "5"]),
-    ("byzantine_soak", ["--scenario", "dup_flood", "--seed", "5"]),
-    ("city_soak", ["--scenario", "churn", "--seed", "3"]),
-    ("city_soak", ["--scenario", "steady", "--seed", "7"]),
-]
+THREADS = [2, 4, 8]
+REPEATS = 3
 
 
-def run_one(binary, scenario_args, threads, json_path):
-    cmd = [binary, *scenario_args, "--threads", str(threads), "--json", str(json_path)]
+def run_one(soak, scenario, threads, json_path):
+    cmd = [soak, "--scenario", scenario, "--threads", str(threads), "--json", str(json_path)]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
     if proc.returncode != 0:
         raise SystemExit(
             f"FAIL: {' '.join(cmd)} exited {proc.returncode}\n{proc.stdout}{proc.stderr}"
         )
-    return proc.stdout + proc.stderr, json_path.read_bytes()
+    snap = json_path.read_bytes()
+    json.loads(snap)  # the snapshot must at least be valid JSON
+    return proc.stdout + proc.stderr, snap
 
 
 def main():
-    if len(sys.argv) != 5:
+    if len(sys.argv) != 2:
         raise SystemExit(__doc__)
-    binaries = {
-        "chaos_soak": sys.argv[1],
-        "overload_soak": sys.argv[2],
-        "byzantine_soak": sys.argv[3],
-        "city_soak": sys.argv[4],
-    }
+    soak = sys.argv[1]
+    scenarios = subprocess.run(
+        [soak, "--list"], capture_output=True, text=True, check=True
+    ).stdout.split()
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        for name, scenario_args in RUNS:
-            label = f"{name} {' '.join(scenario_args)}"
-            ref_log = ref_json = None
+        snap_path = Path(tmp) / "snapshot.json"
+        for scenario in scenarios:
+            ref = run_one(soak, scenario, 1, snap_path)
             for t in THREADS:
-                log, snap = run_one(
-                    binaries[name], scenario_args, t, tmp / f"{name}-{t}.json"
-                )
-                json.loads(snap)  # the snapshot must at least be valid JSON
-                if t == THREADS[0]:
-                    ref_log, ref_json = log, snap
-                    continue
-                if log != ref_log:
-                    print(f"FAIL: {label}: fault log differs at --threads {t}")
-                    failures += 1
-                if snap != ref_json:
-                    print(f"FAIL: {label}: metric snapshot differs at --threads {t}")
-                    failures += 1
-            print(f"ok: {label}: byte-identical at threads {THREADS}")
+                for _ in range(REPEATS):
+                    log, snap = run_one(soak, scenario, t, snap_path)
+                    if log != ref[0]:
+                        print(f"FAIL: {scenario}: log differs at --threads {t}")
+                        failures += 1
+                    if snap != ref[1]:
+                        print(f"FAIL: {scenario}: metric snapshot differs at --threads {t}")
+                        failures += 1
+            print(f"ok: {scenario}: byte-identical at threads 1 and {THREADS} x{REPEATS}",
+                  flush=True)
     if failures:
         raise SystemExit(f"{failures} determinism failure(s)")
-    print("determinism check passed")
+    print(f"determinism check passed ({len(scenarios)} scenarios)")
 
 
 if __name__ == "__main__":

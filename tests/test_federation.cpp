@@ -16,6 +16,7 @@
 #include "obs/metrics.h"
 #include "orch/failover.h"
 #include "orch/federation.h"
+#include "util/contract.h"
 
 namespace cmtos::test {
 namespace {
@@ -80,7 +81,10 @@ struct FedWorld {
         {{streams[0]->orch_spec(2), streams[1]->orch_spec(2), streams[2]->orch_spec(2)},
          {streams[3]->orch_spec(2), streams[4]->orch_spec(2)},
          {streams[5]->orch_spec(2), streams[6]->orch_spec(2)}},
-        [&](bool ok, auto) { established = ok; });
+        [&](bool ok, auto) {
+          note_barrier();
+          established = ok;
+        });
     EXPECT_TRUE(created);
     if (!created) return;
     EXPECT_EQ(fed->domain_count(), 3u);
@@ -92,16 +96,29 @@ struct FedWorld {
     EXPECT_TRUE(established);
 
     bool primed = false, started = false;
-    fed->prime(false, [&](bool ok, auto) { primed = ok; });
+    fed->prime(false, [&](bool ok, auto) {
+      note_barrier();
+      primed = ok;
+    });
     p->run_until(2500 * kMillisecond);
     EXPECT_TRUE(primed);
-    fed->start([&](bool ok, auto) { started = ok; });
+    fed->start([&](bool ok, auto) {
+      note_barrier();
+      started = ok;
+    });
     p->run_until(3 * kSecond);
     EXPECT_TRUE(started);
   }
 
+  /// Barrier completions touch the caller's state, so they must run in a
+  /// serial executor round.
+  void note_barrier() {
+    barriers_in_parallel_rounds += p->scheduler().executor().in_parallel_round();
+  }
+
   StarPlatform star;
   platform::Platform* p = nullptr;
+  int barriers_in_parallel_rounds = 0;
   platform::Host* srv1 = nullptr;
   platform::Host* srv2 = nullptr;
   platform::Host* wsB = nullptr;
@@ -145,6 +162,33 @@ TEST(Federation, RootProcessesAggregatesNotPerVcReports) {
   }
   EXPECT_LT(w.fed->max_domain_skew_s(), 0.5);
   EXPECT_LT(obs::Registry::global().gauge("fed.max_domain_skew_s").value(), 0.5);
+}
+
+// Regression: each domain's confirm decremented the barrier's shared count
+// from that domain orchestrator's shard inside a parallel round, and a lost
+// decrement left "prime barrier" hanging at --threads 2 and up.  Barrier
+// arrivals, completions and aggregate ingestion must all run in serial
+// rounds.  Checked at --threads 1, whose rounds are classified exactly as
+// at any other thread count, so the race fails here on one core.
+TEST(Federation, BarriersAndIngestionNeverRunInParallelRounds) {
+  std::vector<std::string> violations;
+  auto prev = contract::set_violation_handler(
+      [&](const contract::Violation& v) { violations.emplace_back(v.check); });
+  {
+    FedWorld w;
+    w.p->run_until(5 * kSecond);
+    bool stopped = false;
+    w.fed->stop([&](bool ok, auto) {
+      w.note_barrier();
+      stopped = ok;
+    });
+    w.p->run_until(6 * kSecond);
+    EXPECT_TRUE(stopped);
+    EXPECT_GT(w.fed->root_aggregates_processed(), 0u);
+    EXPECT_EQ(w.barriers_in_parallel_rounds, 0);
+  }
+  contract::set_violation_handler(std::move(prev));
+  EXPECT_TRUE(violations.empty()) << violations.front();
 }
 
 TEST(Federation, StopBarrierFreezesEveryDomain) {

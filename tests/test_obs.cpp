@@ -85,6 +85,21 @@ TEST(ObsRegistry, LabelsAreIdentity) {
   EXPECT_EQ(reg.size(), 2u);
 }
 
+TEST(ObsRegistry, TotalSumsCounterAcrossLabelSetsOnly) {
+  Registry reg;
+  EXPECT_EQ(reg.total("x"), 0);
+  reg.counter("x").add(1);
+  reg.counter("x", {{"vc", "1"}}).add(2);
+  reg.counter("x", {{"vc", "2"}, {"node", "3"}}).add(4);
+  reg.counter("x.y").add(100);  // longer name sharing the prefix
+  reg.counter("xy").add(100);
+  reg.counter("w").add(100);
+  reg.set_gauge("x2", 5.0);
+  EXPECT_EQ(reg.total("x"), 7);
+  EXPECT_EQ(reg.total("x.y"), 100);
+  EXPECT_EQ(reg.total("x2"), 0);  // gauges are not counters
+}
+
 TEST(ObsRegistry, KindMismatchThrows) {
   Registry reg;
   reg.counter("metric");

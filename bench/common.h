@@ -17,6 +17,7 @@
 
 #include "media/live_source.h"
 #include "obs/metrics.h"
+#include "obs/run_meta.h"
 #include "obs/trace.h"
 #include "media/sink.h"
 #include "media/stored_server.h"
@@ -61,7 +62,9 @@ class BenchJson {
     finished_ = true;
     if (!trace_path_.empty()) obs::Tracer::global().stop();
     if (json_path_.empty()) return;
-    if (obs::Registry::global().write_json(json_path_, {{"bench", bench_}})) {
+    obs::Labels meta = {{"bench", bench_}};
+    for (auto& kv : obs::run_meta()) meta.push_back(std::move(kv));
+    if (obs::Registry::global().write_json(json_path_, meta)) {
       std::printf("\n[metrics written to %s]\n", json_path_.c_str());
     } else {
       std::fprintf(stderr, "warning: cannot write metrics to %s\n", json_path_.c_str());

@@ -69,6 +69,7 @@
 #include "media/sink.h"
 #include "media/stored_server.h"
 #include "obs/metrics.h"
+#include "obs/run_meta.h"
 #include "orch/failover.h"
 #include "orch/federation.h"
 #include "platform/host.h"
@@ -1320,8 +1321,9 @@ int main(int argc, char** argv) {
   }
 
   if (!json_path.empty()) {
-    obs::Registry::global().write_json(
-        json_path, {{"scenario", name}, {"seed", std::to_string(run_seed)}});
+    obs::Labels meta = {{"scenario", name}, {"seed", std::to_string(run_seed)}};
+    for (auto& kv : obs::run_meta()) meta.push_back(std::move(kv));
+    obs::Registry::global().write_json(json_path, meta);
   }
   std::printf("soak: scenario %s seed %llu: %s\n", name.c_str(),
               static_cast<unsigned long long>(run_seed), passed ? "OK" : "FAILED");

@@ -101,6 +101,13 @@ class Registry {
   std::size_t size() const;
   void clear();
 
+  /// Retires the instrument `name{from}` when the entity it describes goes
+  /// away: a counter's value is folded into `name{into}` (created on
+  /// demand), so total(name) is unchanged; a gauge or histogram is dropped.
+  /// References to the retired instrument dangle afterwards.  No-op when
+  /// `name{from}` does not exist (e.g. after clear()).
+  void retire(const std::string& name, const Labels& from, const Labels& into);
+
   /// Sum of every counter named `name`, across all label sets (0 when none
   /// exists).  Soak oracles read run totals through this instead of
   /// re-parsing to_json().
@@ -129,6 +136,8 @@ class Registry {
 
   static std::string key_of(const std::string& name, const Labels& labels);
   Entry& find_or_create(const std::string& name, const Labels& labels, Kind kind);
+  Entry& find_or_create_locked(const std::string& name, const Labels& labels, Kind kind)
+      CMTOS_REQUIRES(mu_);
 
   mutable Mutex mu_;
   std::map<std::string, Entry> entries_ CMTOS_GUARDED_BY(mu_);

@@ -1,7 +1,10 @@
 #include "transport/connection.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
+#include <iterator>
+#include <string>
 
 #include "obs/trace.h"
 #include "obs/wire_stats.h"
@@ -36,11 +39,27 @@ const char* to_string(VcState s) {
 }
 
 namespace {
-/// Receiver feedback cadence for the rate profile.
+/// Receiver feedback cadence for the rate profile: the sink's feedback
+/// timer period while its feedback changes, and a stalled source's probe
+/// period.
 constexpr Duration kFeedbackPeriod = 20 * kMillisecond;
 /// NAK retry interval and cap (error-correction class).
 constexpr Duration kNakRetryAfter = 60 * kMillisecond;
 constexpr int kNakMaxTries = 3;
+
+/// The per-endpoint counters, in the order of Connection's m_* members.
+constexpr std::array<const char*, 7> kVcCounters = {
+    "transport.tpdus_sent",  "transport.tpdus_received", "transport.tpdus_lost",
+    "transport.tpdus_corrupt", "transport.dup_dropped", "transport.osdus_delivered",
+    "buffer.shed"};
+
+/// Per-endpoint labels; `vc` is the VC id, or "retired" for the per-node
+/// rows a destroyed endpoint's counters fold into.
+obs::Labels vc_labels(std::string vc, net::NodeId node, VcRole role) {
+  return {{"vc", std::move(vc)},
+          {"node", std::to_string(node)},
+          {"role", role == VcRole::kSource ? "source" : "sink"}};
+}
 }  // namespace
 
 Connection::Connection(TransportEntity& entity, VcId id, VcRole role,
@@ -57,17 +76,14 @@ Connection::Connection(TransportEntity& entity, VcId id, VcRole role,
   trace_pid_ = static_cast<int>(local_node());
   trace_tid_ = static_cast<int>(id_ & 0xffffffffu);
   buffer_.set_trace_identity(trace_pid_, trace_tid_);
-  const obs::Labels labels = {{"vc", std::to_string(id_)},
-                              {"node", std::to_string(local_node())},
-                              {"role", role_ == VcRole::kSource ? "source" : "sink"}};
+  const obs::Labels labels = vc_labels(std::to_string(id_), local_node(), role_);
   auto& reg = obs::Registry::global();
-  m_tpdus_sent_ = &reg.counter("transport.tpdus_sent", labels);
-  m_tpdus_received_ = &reg.counter("transport.tpdus_received", labels);
-  m_tpdus_lost_ = &reg.counter("transport.tpdus_lost", labels);
-  m_tpdus_corrupt_ = &reg.counter("transport.tpdus_corrupt", labels);
-  m_dup_dropped_ = &reg.counter("transport.dup_dropped", labels);
-  m_osdus_delivered_ = &reg.counter("transport.osdus_delivered", labels);
-  m_osdus_shed_ = &reg.counter("buffer.shed", labels);
+  obs::Counter** slots[] = {&m_tpdus_sent_,   &m_tpdus_received_, &m_tpdus_lost_,
+                            &m_tpdus_corrupt_, &m_dup_dropped_,   &m_osdus_delivered_,
+                            &m_osdus_shed_};
+  static_assert(std::size(slots) == kVcCounters.size());
+  for (std::size_t i = 0; i < kVcCounters.size(); ++i)
+    *slots[i] = &reg.counter(kVcCounters[i], labels);
   if (role_ == VcRole::kSink) {
     if (request_.shed_watermark_pct > 0) {
       shed_watermark_slots_ = std::max<std::size_t>(
@@ -100,6 +116,11 @@ Connection::~Connection() {
   feedback_event_.cancel();
   monitor_event_.cancel();
   cancel_liveness_timers();
+  // Fold this endpoint's counters into per-node rows: the registry follows
+  // live VCs under churn while every counter total stays exact.
+  const obs::Labels labels = vc_labels(std::to_string(id_), local_node(), role_);
+  const obs::Labels retired = vc_labels("retired", local_node(), role_);
+  for (const char* name : kVcCounters) obs::Registry::global().retire(name, labels, retired);
 }
 
 net::NodeId Connection::local_node() const {
@@ -154,6 +175,7 @@ void Connection::open() {
     });
     monitor_->begin(entity_.local_now());
     schedule_monitor();
+    feedback_phase_ = sched_.now();
     if (request_.service_class.profile == ProtocolProfile::kRateBasedCm) schedule_feedback();
   }
   if (entity_.config().peer_dead_after > 0) {
@@ -217,6 +239,7 @@ std::optional<Osdu> Connection::receive() {
   CMTOS_DCHECK(role_ == VcRole::kSink);
   auto osdu = buffer_.try_pop(sched_.now());
   if (osdu) {
+    wake_feedback();  // the freed slot may let a throttled source speed up
     last_delivered_seq_ = osdu->seq;
     ++stats_.osdus_delivered;
     m_osdus_delivered_->add();
@@ -366,8 +389,19 @@ void Connection::schedule_pacer(Duration delay) {
 
 void Connection::pacer_tick() {
   pacer_armed_ = false;
+  probing_ = false;
   if (state_ != VcState::kOpen || source_paused_) return;
-  if (receiver_full_ || rate_factor_ <= 0) return;  // resumed by feedback
+  if (receiver_full_ || rate_factor_ <= 0) {
+    // Stopped by feedback.  The sink sends feedback only when it changes,
+    // so the "open" feedback may have been lost: probe with a keepalive
+    // every feedback period and the sink answers with its current state.
+    KeepaliveTpdu ka;
+    ka.vc = id_;
+    entity_.send_tpdu(peer_node(), net::Proto::kTransportData, ka.encode());
+    schedule_pacer(kFeedbackPeriod);
+    probing_ = true;
+    return;
+  }
   // pacing_burst > 1 coarsens the pacing grain: up to that many fragments
   // go out back to back (staged into one network injection event) and the
   // pacer then sleeps the sum of their per-TPDU intervals, so the average
@@ -476,7 +510,13 @@ void Connection::on_feedback(const FeedbackTpdu& fb) {
       rate_factor_ = 1.0;
     }
   }
-  if (was_stalled && !receiver_full_ && rate_factor_ > 0 && !pacer_armed_) pacer_tick();
+  if (!was_stalled || receiver_full_ || rate_factor_ <= 0) return;
+  // Resume now rather than at the next probe.
+  if (probing_) {
+    pacer_event_.cancel();
+    pacer_armed_ = false;
+  }
+  if (!pacer_armed_) pacer_tick();
 }
 
 // ====================================================================
@@ -513,6 +553,7 @@ void Connection::on_data(const net::Packet& pkt) {
   }
   ++stats_.tpdus_received;
   m_tpdus_received_->add();
+  wake_feedback();
   obs::Tracer::global().instant("TPDU.rx", trace_pid_, trace_tid_);
   if (monitor_) {
     monitor_->on_tpdu_received(static_cast<std::int64_t>(pkt.wire_size()));
@@ -815,8 +856,7 @@ void Connection::give_up_on_holes() {
   }
 }
 
-void Connection::send_feedback() {
-  if (state_ != VcState::kOpen) return;
+FeedbackTpdu Connection::current_feedback() const {
   FeedbackTpdu fb;
   fb.vc = id_;
   const std::size_t backlog = delivery_queue_.size();
@@ -830,16 +870,52 @@ void Connection::send_feedback() {
   fb.capacity = static_cast<std::uint32_t>(buffer_.capacity());
   fb.highest_osdu = static_cast<std::uint32_t>(std::max<std::int64_t>(0, highest_completed_seq_));
   fb.paused = 0;
-  entity_.send_tpdu(peer_node(), net::Proto::kTransportData, fb.encode());
+  return fb;
+}
+
+void Connection::send_feedback() {
+  if (state_ != VcState::kOpen) return;
+  last_feedback_ = current_feedback();
+  ++stats_.feedback_sent;
+  entity_.send_tpdu(peer_node(), net::Proto::kTransportData, last_feedback_.encode());
+}
+
+void Connection::wake_feedback() {
+  if (state_ == VcState::kOpen && !feedback_event_.pending() &&
+      request_.service_class.profile == ProtocolProfile::kRateBasedCm)
+    schedule_feedback();
+}
+
+bool Connection::reassembly_pending() const {
+  return !partials_.empty() || !completed_.empty() || !delivery_queue_.empty() ||
+         !nak_tries_.empty();
 }
 
 void Connection::schedule_feedback() {
-  feedback_event_ = sched_.after(kFeedbackPeriod, [this] {
+  // Ticks stay on the grid laid down at open: a sink woken from quiet
+  // reports a change at the instant an always-running timer would have.
+  const Time now = sched_.now();
+  const Time next = now + kFeedbackPeriod - (now - feedback_phase_) % kFeedbackPeriod;
+  feedback_event_ = sched_.at(next, [this] {
     if (state_ != VcState::kOpen) return;
-    send_feedback();
+    const bool changed = stats_.feedback_sent == 0 || current_feedback() != last_feedback_;
+    if (changed) send_feedback();
+    // Pending reassembly or hole state can still move the feedback (holes
+    // skipped, backlog entering the ring), so it keeps the timer alive.
+    // An idle VC goes quiet here until wake_feedback() re-arms the timer.
+    const bool keep_ticking = changed || reassembly_pending();
     give_up_on_holes();
-    schedule_feedback();
+    if (keep_ticking) schedule_feedback();
   });
+}
+
+void Connection::on_keepalive() {
+  if (role_ != VcRole::kSink || state_ != VcState::kOpen ||
+      request_.service_class.profile != ProtocolProfile::kRateBasedCm)
+    return;
+  // Only feedback with room in it can resume a stalled source; a full sink
+  // stays silent and the source keeps probing.
+  if (current_feedback().free_slots > 0) send_feedback();
 }
 
 // ====================================================================

@@ -75,6 +75,7 @@ struct VcStats {
   std::int64_t osdus_skipped = 0;         // holes given up on (incl. source drops)
   std::int64_t osdus_delivered = 0;       // popped by the application
   std::int64_t osdus_shed = 0;            // stale OSDUs dropped by load shedding
+  std::int64_t feedback_sent = 0;         // rate-profile FB TPDUs emitted
 };
 
 class CMTOS_SHARD_AFFINE Connection {
@@ -181,6 +182,10 @@ class CMTOS_SHARD_AFFINE Connection {
   void on_ack(const AckTpdu& ack);
   void on_nak(const NakTpdu& nak);
   void on_feedback(const FeedbackTpdu& fb);
+  /// Sink: a keepalive from the source.  A stalled rate-based source probes
+  /// with keepalives; the sink answers with its current feedback when that
+  /// has room in it — the path that recovers a lost "open" feedback.
+  void on_keepalive();
 
   /// Any data-plane TPDU for this VC proves the peer endpoint alive; the
   /// entity calls this on every dispatch (liveness, tentpole 2).
@@ -231,8 +236,16 @@ class CMTOS_SHARD_AFFINE Connection {
   std::int64_t unwrap_osdu_seq(std::uint32_t seq) const;
   void deliver_ready();
   void push_delivery_queue();
+  FeedbackTpdu current_feedback() const;
   void send_feedback();
+  /// Arms the feedback timer.  Each tick sends only changed feedback and
+  /// re-arms only while the content changed or reassembly/hole state is
+  /// pending.
   void schedule_feedback();
+  /// Re-arms a quiet sink's feedback timer: called when the feedback's
+  /// inputs move (a data TPDU arrives, the application takes an OSDU).
+  void wake_feedback();
+  bool reassembly_pending() const;
   void schedule_monitor();
   void give_up_on_holes();
 
@@ -272,6 +285,7 @@ class CMTOS_SHARD_AFFINE Connection {
   std::size_t retain_limit_ = 512;
   double rate_factor_ = 1.0;            // receiver-feedback modulation (rate profile)
   bool receiver_full_ = false;
+  bool probing_ = false;                // the armed pacer tick is a stall probe
   sim::EventHandle pacer_event_;
   // window profile:
   std::uint32_t send_base_ = 0;         // oldest unacked TPDU seq
@@ -303,6 +317,8 @@ class CMTOS_SHARD_AFFINE Connection {
   std::map<std::uint32_t, int> nak_tries_;     // tpdu seq -> attempts  // cmtos-analyze: allow(hot-path-map)
   Time last_hole_progress_ = 0;
   std::uint32_t recv_window_granted_ = 8;
+  FeedbackTpdu last_feedback_;          // content of the last FB sent
+  Time feedback_phase_ = 0;             // feedback ticks fall on phase + k * period
   sim::EventHandle feedback_event_;
   sim::EventHandle monitor_event_;
   std::unique_ptr<QosMonitor> monitor_;

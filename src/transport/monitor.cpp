@@ -19,6 +19,18 @@ QosMonitor::QosMonitor(VcId vc, QosParams agreed, Duration sample_period)
   c_violations_ = &reg.counter("qos.violation_periods", labels);
 }
 
+QosMonitor::~QosMonitor() {
+  // The gauges are last-value samples of a VC that is gone; the violation
+  // count folds into one "retired" row so its total stays exact.
+  const obs::Labels labels = {{"vc", std::to_string(vc_)}};
+  const obs::Labels retired = {{"vc", "retired"}};
+  auto& reg = obs::Registry::global();
+  for (const char* name : {"qos.osdu_rate", "qos.mean_delay_ms", "qos.jitter_ms",
+                           "qos.packet_error_rate", "qos.bit_error_rate",
+                           "qos.violation_periods"})
+    reg.retire(name, labels, retired);
+}
+
 void QosMonitor::publish(const QosReport& rep) {
   g_osdu_rate_->set(rep.measured_osdu_rate);
   g_mean_delay_ms_->set(to_millis(rep.measured_mean_delay));

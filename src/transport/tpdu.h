@@ -171,6 +171,7 @@ struct FeedbackTpdu {
   std::uint32_t highest_osdu = 0;    // highest completed OSDU seq
   std::uint8_t paused = 0;           // 1 = source must stop sending
 
+  friend bool operator==(const FeedbackTpdu&, const FeedbackTpdu&) = default;
   std::vector<std::uint8_t> encode() const;
   static std::optional<FeedbackTpdu> decode(std::span<const std::uint8_t> wire,
                                             WireFault* fault = nullptr);

@@ -228,7 +228,10 @@ void TransportEntity::on_data_packet(net::Packet&& pkt) {
       // one: damaged bytes must not masquerade as liveness.
       if (auto ka = KeepaliveTpdu::decode(pkt.payload, &fault)) {
         if (Connection* c = source(ka->vc)) c->note_peer_activity();
-        if (Connection* c = sink(ka->vc)) c->note_peer_activity();
+        if (Connection* c = sink(ka->vc)) {
+          c->note_peer_activity();
+          c->on_keepalive();  // a stalled source's probe
+        }
       } else {
         refused("ka");
       }

@@ -1,6 +1,6 @@
 // Data-plane tests: OSDU boundary preservation, segmentation/reassembly,
-// rate-based flow control, the window-based baseline, error-control
-// classes, drop-at-source and delivery gating.
+// rate-based flow control and its receiver feedback, the window-based
+// baseline, error-control classes, drop-at-source and delivery gating.
 
 #include <gtest/gtest.h>
 
@@ -420,6 +420,109 @@ TEST(DataTransfer, StatsCountersConsistent) {
   EXPECT_EQ(snk.osdus_delivered, 20);
   EXPECT_EQ(snk.tpdus_lost, 0);
   EXPECT_EQ(snk.tpdus_corrupt, 0);
+}
+
+// --- Rate feedback: sent when it changes; a stalled source probes ---
+
+/// The sink's feedback period and a stalled source's probe period.
+constexpr Duration kFeedbackPeriod = 20 * kMillisecond;
+
+TEST(Feedback, IdleVcSendsNoFeedbackAfterTheFirst) {
+  PairPlatform w;
+  Wire wire(w, basic_request({w.a->id, 1}, {w.b->id, 2}));
+  ASSERT_NE(wire.sink, nullptr);
+  w.platform.run_until(300 * kMillisecond);
+  EXPECT_EQ(wire.sink->stats().feedback_sent, 1);  // the empty ring's opening report
+  w.platform.run_until(10300 * kMillisecond);
+  EXPECT_EQ(wire.sink->stats().feedback_sent, 1);
+}
+
+TEST(Feedback, FirstDataTpduRestoresThePeriodicRate) {
+  PairPlatform w;
+  Wire wire(w, basic_request({w.a->id, 1}, {w.b->id, 2}, 100.0, 512));
+  ASSERT_NE(wire.source, nullptr);
+  w.platform.run_until(kSecond);
+  const std::int64_t quiet = wire.sink->stats().feedback_sent;
+
+  // One OSDU wakes the sink: its feedback follows within one period.
+  ASSERT_TRUE(wire.source->submit(payload(200, 5)));
+  Time t = kSecond + 2 * kMillisecond + kFeedbackPeriod;
+  w.platform.run_until(t);
+  EXPECT_EQ(wire.sink->stats().feedback_sent, quiet + 1);
+
+  // A steady stream keeps the feedback changing, so it goes out every
+  // period, as the old always-on timer sent it.
+  const std::int64_t before = wire.sink->stats().feedback_sent;
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(wire.source->submit(payload(200, 5)));
+    w.platform.run_until(t += 10 * kMillisecond);
+    (void)drain(*wire.sink);
+  }
+  const std::int64_t sent = wire.sink->stats().feedback_sent - before;
+  EXPECT_GE(sent, 45);  // one second at 20 ms is 50
+  EXPECT_LE(sent, 51);
+}
+
+TEST(Feedback, StalledSourceRecoversLostOpenFeedbackThroughTheProbe) {
+  PairPlatform w;
+  auto req = basic_request({w.a->id, 1}, {w.b->id, 2}, 100.0, 512);
+  req.buffer_osdus = 4;
+  Wire wire(w, req);
+  ASSERT_NE(wire.source, nullptr);
+
+  // Fill the sink: the application reads nothing, so the ring fills, the
+  // feedback reports no room and the source stops with data still queued.
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(wire.source->submit(payload(200, 5)));
+  w.platform.run_until(500 * kMillisecond);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(wire.source->submit(payload(200, 5)));
+  w.platform.run_until(700 * kMillisecond);
+  const std::int64_t stalled_at = wire.source->stats().tpdus_sent;
+  w.platform.run_until(800 * kMillisecond);
+  ASSERT_EQ(wire.source->stats().tpdus_sent, stalled_at);
+  ASSERT_GT(wire.source->buffer().size(), 0u);
+
+  // Sink -> source goes down; the application drains, and the "open"
+  // feedback that follows is lost.
+  net::Link* back = w.platform.network().link(w.b->id, w.a->id);
+  ASSERT_NE(back, nullptr);
+  back->set_up(false);
+  EXPECT_EQ(drain(*wire.sink).size(), 4u);
+  w.platform.run_until(kSecond);
+  EXPECT_GT(back->stats().dropped_down, 0);
+  EXPECT_EQ(wire.source->stats().tpdus_sent, stalled_at);
+
+  // Link back: the next probe's answer resumes the source.
+  back->set_up(true);
+  w.platform.run_until(kSecond + 2 * kFeedbackPeriod);
+  EXPECT_GT(wire.source->stats().tpdus_sent, stalled_at);
+  w.platform.run_until(2 * kSecond);
+  EXPECT_EQ(drain(*wire.sink).size(), 3u);
+}
+
+// CI gate on a deterministic proxy for the per-VC idle cost: 1,000 idle
+// rate-based VCs may cost at most 3 simulator events per VC per simulated
+// second (the QoS monitor's 500 ms sample tick is 2).  Feedback sent every
+// 20 ms regardless of change cost about 185.
+TEST(Feedback, ThousandIdleVcsCostAtMostThreeEventsPerVcSecond) {
+  constexpr int kVcs = 1000;
+  net::LinkConfig link = lan_link();
+  link.bandwidth_bps = 100'000'000;
+  PairPlatform w(link);
+  ScriptedUser src_user(w.a->entity), dst_user(w.b->entity);
+  w.a->entity.bind(1, &src_user);
+  w.b->entity.bind(2, &dst_user);
+  Time t = 0;
+  for (int i = 0; i < kVcs; ++i) {
+    auto req = basic_request({w.a->id, 1}, {w.b->id, 2}, 1.0, 256);
+    req.buffer_osdus = 4;
+    ASSERT_NE(w.a->entity.t_connect_request(req), transport::kInvalidVc);
+    if (i % 50 == 49) w.platform.run_until(t += 50 * kMillisecond);
+  }
+  w.platform.run_until(t += 3 * kSecond);
+  ASSERT_EQ(src_user.confirms.size(), static_cast<std::size_t>(kVcs));
+
+  const std::size_t events = w.platform.scheduler().run_until(t + kSecond);
+  EXPECT_LE(static_cast<double>(events) / kVcs, 3.0);
 }
 
 }  // namespace

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdio>
+#include <deque>
 #include <fstream>
 #include <sstream>
 
@@ -100,6 +102,20 @@ TEST(ObsRegistry, TotalSumsCounterAcrossLabelSetsOnly) {
   EXPECT_EQ(reg.total("x2"), 0);  // gauges are not counters
 }
 
+TEST(ObsRegistry, RetireFoldsCountersAndDropsGauges) {
+  Registry reg;
+  reg.counter("x", {{"vc", "1"}}).add(2);
+  reg.counter("x", {{"vc", "2"}}).add(3);
+  reg.set_gauge("g", 1.5, {{"vc", "1"}});
+  reg.retire("x", {{"vc", "1"}}, {{"vc", "retired"}});
+  reg.retire("x", {{"vc", "2"}}, {{"vc", "retired"}});
+  reg.retire("g", {{"vc", "1"}}, {{"vc", "retired"}});
+  reg.retire("x", {{"vc", "9"}}, {{"vc", "retired"}});  // unknown: no-op
+  EXPECT_EQ(reg.total("x"), 5);
+  EXPECT_EQ(reg.counter("x", {{"vc", "retired"}}).value(), 5);
+  EXPECT_EQ(reg.size(), 1u);
+}
+
 TEST(ObsRegistry, KindMismatchThrows) {
   Registry reg;
   reg.counter("metric");
@@ -151,6 +167,65 @@ TEST(ObsRegistry, WriteJsonRoundTrips) {
 }
 
 // --- tracer ---
+
+// Per-VC instruments under churn: a destroyed endpoint's counters fold
+// into per-node "retired" rows, so the registry follows the live VC count
+// while every counter total stays exact.
+TEST(ObsRegistry, VcChurnKeepsRegistryBoundedAndTotalsExact) {
+  constexpr int kLive = 20;
+  constexpr int kChurn = 1000;
+  net::LinkConfig link = lan_link();
+  link.bandwidth_bps = 100'000'000;
+  PairPlatform w(link);
+  ScriptedUser src_user(w.a->entity), dst_user(w.b->entity);
+  w.a->entity.bind(1, &src_user);
+  w.b->entity.bind(2, &dst_user);
+  auto& reg = Registry::global();
+  const auto totals = [&reg] {
+    return std::array<std::int64_t, 3>{reg.total("transport.tpdus_sent"),
+                                       reg.total("transport.tpdus_received"),
+                                       reg.total("transport.osdus_delivered")};
+  };
+  const auto totals0 = totals();
+  obs::Counter& retired_delivered = reg.counter(
+      "transport.osdus_delivered",
+      {{"vc", "retired"}, {"node", std::to_string(w.b->id)}, {"role", "sink"}});
+  const std::int64_t retired0 = retired_delivered.value();
+
+  std::deque<transport::VcId> live;
+  Time t = 0;
+  std::int64_t osdus = 0;
+  // Opens one VC, sends one OSDU over it and reads it at the sink.
+  const auto open_one = [&] {
+    live.push_back(w.a->entity.t_connect_request(
+        basic_request({w.a->id, 1}, {w.b->id, 2}, 50.0, 256)));
+    w.platform.run_until(t += 10 * kMillisecond);
+    transport::Connection* src = w.a->entity.source(live.back());
+    ASSERT_NE(src, nullptr);
+    ASSERT_TRUE(src->submit(std::vector<std::uint8_t>(100, 1)));
+    w.platform.run_until(t += 10 * kMillisecond);
+    transport::Connection* snk = w.b->entity.sink(live.back());
+    ASSERT_NE(snk, nullptr);
+    ASSERT_TRUE(snk->receive().has_value());
+    ++osdus;
+  };
+  const auto churn_one = [&] {
+    w.a->entity.t_disconnect_request(live.front());
+    live.pop_front();
+    open_one();
+  };
+  for (int i = 0; i < kLive; ++i) open_one();
+  for (int i = 0; i < 10; ++i) churn_one();  // the retired rows now exist
+  w.platform.run_until(t += 100 * kMillisecond);
+  const std::size_t size_warm = reg.size();
+  for (int i = 10; i < kChurn; ++i) churn_one();
+  w.platform.run_until(t += 100 * kMillisecond);
+  EXPECT_EQ(reg.size(), size_warm);
+
+  const auto totals1 = totals();
+  for (std::size_t i = 0; i < totals1.size(); ++i) EXPECT_EQ(totals1[i] - totals0[i], osdus);
+  EXPECT_EQ(retired_delivered.value() - retired0, kChurn);
+}
 
 TEST(ObsTracer, WritesValidChromeTrace) {
   auto& tr = Tracer::global();

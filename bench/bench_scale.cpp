@@ -74,7 +74,10 @@ void* operator new(std::size_t n, std::align_val_t al) {
   throw std::bad_alloc();
 }
 
-static void counted_free(void* p) noexcept {
+// Kept out of line: GCC 12's -Wmismatched-new-delete otherwise traces a
+// std::allocator pointer from operator new through the inlined delete into
+// this free() and flags the (intended) malloc/free pairing.
+[[gnu::noinline]] static void counted_free(void* p) noexcept {
   if (p == nullptr) return;
   cmtos::bench::g_net_bytes.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)),
                                       std::memory_order_relaxed);
@@ -242,8 +245,8 @@ class CountUser : public transport::TransportUser {
 /// `pairs` host pairs, each carrying `vcs_per_pair` low-rate VCs, plus one
 /// fat pump pair for the data-plane measurement.
 struct ChurnWorld {
-  ChurnWorld(std::size_t pairs, std::size_t vcs_per_pair, std::uint64_t seed)
-      : platform(seed), vcs_per_pair(vcs_per_pair) {
+  ChurnWorld(std::size_t pairs, std::size_t per_pair, std::uint64_t seed)
+      : platform(seed), vcs_per_pair(per_pair) {
     net::LinkConfig link;
     link.bandwidth_bps = 100'000'000;
     link.propagation_delay = 1 * kMillisecond;

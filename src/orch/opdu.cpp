@@ -50,7 +50,12 @@ bool valid_opdu_type(std::uint8_t t) {
 }  // namespace
 
 std::vector<std::uint8_t> Opdu::encode() const {
+  // Exact encoded size, so an encode makes one allocation: the fixed fields
+  // below plus the CRC trailer, and 16 bytes per VC entry.
+  constexpr std::size_t kFixedBytes = 161;
+  constexpr std::size_t kVcEntryBytes = 16;
   std::vector<std::uint8_t> out;
+  out.reserve(kFixedBytes + kVcEntryBytes * vcs.size());
   ByteWriter w(out);
   w.u8(wire_enum(type));
   w.u64(session);

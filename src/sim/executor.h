@@ -22,6 +22,14 @@
 //      order.  Log lines emitted during the round were parked per shard
 //      too and are written out in shard order.
 //
+// Finding T_min, the earliest global event and a round's runnable shards
+// never scans the shards: the executor keeps an addressable min-heap of
+// shard heads keyed by (time, shard) (and a second one over global heads).
+// A key may sit below its shard's true head — a cancel or a fired event
+// raised the head — but never above it; the top is validated against the
+// shard before use.  Every operation costs O(log S), or O(k) for the k
+// shards a parallel round runs (DESIGN.md §10).
+//
 // The same classification and execution rules run at every worker count:
 // at --threads 1 a "parallel" round simply visits the shards sequentially.
 // Round structure is a pure function of queue state, so N=1 and N=8
@@ -111,20 +119,74 @@ class Executor {
   std::uint64_t serial_rounds() const { return serial_rounds_; }
   std::uint64_t parallel_rounds() const { return parallel_rounds_; }
 
+  /// Shard-head lookups (NodeRuntime head or global-head probes) made by
+  /// the round machinery since construction.  Deterministic at every
+  /// worker count; a cost gate: a scan over all shards per event or round
+  /// shows up here as probes growing with the shard count.
+  std::uint64_t head_probes() const { return head_probes_; }
+
  private:
   friend class NodeRuntime;
 
+  /// Addressable binary min-heap over shard ids keyed by (time, shard id):
+  /// one slot per shard, so re-keying a shard is O(log S) and stale keys
+  /// never pile up as duplicate entries.
+  class ShardIndex {
+   public:
+    /// Appends the next shard id, keyed kTimeNever.
+    void add_shard();
+    bool empty() const { return heap_.empty(); }
+    std::uint32_t top() const { return heap_.front(); }
+    Time key(std::uint32_t s) const { return key_[s]; }
+    /// Re-keys shard `s` to `t` (earlier or later) and restores heap order.
+    void set(std::uint32_t s, Time t);
+    /// Lowers shard `s`'s key to `t` if `t` is earlier.
+    void lower(std::uint32_t s, Time t) {
+      if (t < key_[s]) set(s, t);
+    }
+    /// Appends every shard keyed below `h` to `out`, visiting only those
+    /// shards and their direct children (heap order bounds the walk).
+    void collect_below(Time h, std::vector<std::uint32_t>& out) const;
+
+   private:
+    bool before(std::uint32_t a, std::uint32_t b) const {
+      return key_[a] < key_[b] || (key_[a] == key_[b] && a < b);
+    }
+    void place(std::size_t i, std::uint32_t s) {
+      heap_[i] = s;
+      pos_[s] = static_cast<std::uint32_t>(i);
+    }
+    void sift_up(std::size_t i);
+    void sift_down(std::size_t i);
+
+    std::vector<std::uint32_t> heap_;  // shard ids in heap order
+    std::vector<std::uint32_t> pos_;   // shard id -> index in heap_
+    std::vector<Time> key_;            // shard id -> key
+  };
+
+  /// Keeps the indexes covering an event inserted on `shard` at `t`
+  /// outside a parallel round (NodeRuntime::insert_direct).
+  void index_insert(std::uint32_t shard, Time t, bool global) {
+    heads_.lower(shard, t);
+    if (global) globals_.lower(shard, t);
+  }
+  /// Counted lookup of shard `s`'s head time (global head if `global`).
+  Time probe(std::uint32_t s, bool global);
+  /// Validates the top of `index` against its shard, re-keying stale
+  /// shards, and returns the true minimum (kTimeNever when idle).
+  /// Afterwards `index.top()` is the shard holding it.
+  Time validated_top(ShardIndex& index, bool global);
   /// Earliest pending event time across shards, kTimeNever when idle.
-  Time min_head_time();
+  Time min_head_time() { return validated_top(heads_, false); }
   /// Earliest pending *global* event time across shards.
-  Time min_global_time();
+  Time min_global_time() { return validated_top(globals_, true); }
   void run_serial_round(Time horizon);
   void run_parallel_round(Time horizon);
   void drain_outboxes();
 
   void start_workers(unsigned n);
   void stop_workers();
-  /// Executes shards (claimed via round_next_) below round_horizon_.
+  /// Executes active_ shards (claimed via round_next_) below round_horizon_.
   void work_round();
 
   static thread_local NodeRuntime* current_;
@@ -136,7 +198,19 @@ class Executor {
   std::size_t fired_ = 0;  // events fired in the current run_* call
   std::uint64_t serial_rounds_ = 0;
   std::uint64_t parallel_rounds_ = 0;
+  std::uint64_t head_probes_ = 0;
   std::vector<std::unique_ptr<NodeRuntime>> shards_;
+  // Shard-head index and its global-event twin.  Invariant: a shard with
+  // a live (global) event is keyed no later than that event.  Inserts keep
+  // it through index_insert, except inside a parallel round (the inserting
+  // worker must not write shared state), where the round's barrier re-keys
+  // the shards that ran.
+  ShardIndex heads_;
+  ShardIndex globals_;
+  // The current parallel round's shards (keyed below the horizon), in
+  // shard-id order; workers claim from it through round_next_.
+  std::vector<std::uint32_t> active_;
+  std::vector<NodeRuntime::Deferred*> drain_;  // drain_outboxes workspace
 
   // Worker pool (threads_ - 1 workers; the calling thread participates).
   // Handoff is spin-then-block: rounds are often far shorter than a futex
@@ -152,8 +226,9 @@ class Executor {
   std::atomic<unsigned> round_active_{0};    // workers still inside the round
   std::atomic<bool> shutdown_{false};
   Time round_horizon_ = 0;
-  std::atomic<std::uint32_t> round_next_{0};  // shard claim cursor
+  std::atomic<std::uint32_t> round_next_{0};  // claim cursor into active_
   std::atomic<std::size_t> round_fired_{0};
+  std::atomic<std::uint64_t> round_probes_{0};
 };
 
 }  // namespace cmtos::sim

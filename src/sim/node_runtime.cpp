@@ -64,6 +64,9 @@ EventHandle NodeRuntime::insert_direct(Time t, EventFn fn, bool global) {
     global_heap_.push_back(e);
     std::push_heap(global_heap_.begin(), global_heap_.end(), Later{});
   }
+  // The executor's shard-head index is shared across shards: a parallel
+  // round's worker leaves it alone and the round barrier re-keys this shard.
+  if (!exec_->in_parallel_round()) exec_->index_insert(shard_, t, global);
   live_.fetch_add(1, std::memory_order_relaxed);
   return EventHandle(this, idx, s.gen);
 }

@@ -96,10 +96,17 @@ QosReport read_report(ByteReader& r) {
   return rep;
 }
 
+// Encoded ControlTpdu size including the CRC trailer: header and addresses
+// (29), three QoS parameter sets (3 x 48), negotiation fields (18), the QoS
+// report (113) and the trailer (4).  Control encoders reserve their exact
+// size so each encode makes a single allocation.
+constexpr std::size_t kControlBytes = 29 + 3 * 48 + 18 + 113 + 4;
+
 }  // namespace
 
 std::vector<std::uint8_t> ControlTpdu::encode() const {
   std::vector<std::uint8_t> out;
+  out.reserve(kControlBytes);
   ByteWriter w(out);
   w.u8(wire_enum(type));
   w.u64(vc);
@@ -298,6 +305,7 @@ std::optional<DataTpdu> DataTpdu::decode_packet(const net::Packet& pkt,
 
 std::vector<std::uint8_t> AckTpdu::encode() const {
   std::vector<std::uint8_t> out;
+  out.reserve(21);  // incl. CRC trailer
   ByteWriter w(out);
   w.u8(wire_enum(TpduType::kAK));
   w.u64(vc);
@@ -331,6 +339,7 @@ std::optional<AckTpdu> AckTpdu::decode(std::span<const std::uint8_t> wire,
 
 std::vector<std::uint8_t> NakTpdu::encode() const {
   std::vector<std::uint8_t> out;
+  out.reserve(17 + 4 * missing.size());  // incl. CRC trailer
   ByteWriter w(out);
   w.u8(wire_enum(TpduType::kNAK));
   w.u64(vc);
@@ -371,6 +380,7 @@ std::optional<NakTpdu> NakTpdu::decode(std::span<const std::uint8_t> wire,
 
 std::vector<std::uint8_t> FeedbackTpdu::encode() const {
   std::vector<std::uint8_t> out;
+  out.reserve(26);  // incl. CRC trailer
   ByteWriter w(out);
   w.u8(wire_enum(TpduType::kFB));
   w.u64(vc);
@@ -408,6 +418,7 @@ std::optional<FeedbackTpdu> FeedbackTpdu::decode(std::span<const std::uint8_t> w
 
 std::vector<std::uint8_t> KeepaliveTpdu::encode() const {
   std::vector<std::uint8_t> out;
+  out.reserve(13);  // incl. CRC trailer
   ByteWriter w(out);
   w.u8(wire_enum(TpduType::kKA));
   w.u64(vc);
@@ -437,6 +448,7 @@ std::optional<KeepaliveTpdu> KeepaliveTpdu::decode(std::span<const std::uint8_t>
 
 std::vector<std::uint8_t> DatagramTpdu::encode() const {
   std::vector<std::uint8_t> out;
+  out.reserve(25 + payload.size());  // incl. CRC trailer
   ByteWriter w(out);
   w.u8(wire_enum(TpduType::kDG));
   w.u64(0);  // vc slot kept so peek_vc stays uniform across data-plane TPDUs

@@ -130,6 +130,34 @@ TEST(WireTotality, OpduEveryType) {
   }
 }
 
+// Control encoders reserve their exact encoded size, so an encode costs a
+// single allocation: a short reserve would regrow the buffer (capacity
+// doubles past the size), a long one would leave slack.
+TEST(WireEncodeSize, ControlEncodersReserveExactly) {
+  const auto exact = [](const std::vector<std::uint8_t>& wire, const char* family) {
+    EXPECT_EQ(wire.capacity(), wire.size()) << family;
+  };
+  for (const std::size_t n : {0u, 1u, 5u}) {
+    Opdu o;
+    o.type = OpduType::kAdd;
+    o.vcs.assign(n, {12, 1, 2});
+    exact(o.encode(), "opdu");
+  }
+  ControlTpdu c;
+  c.type = TpduType::kCR;
+  exact(c.encode(), "control_tpdu");
+  exact(AckTpdu{}.encode(), "ack_tpdu");
+  NakTpdu nak;
+  exact(nak.encode(), "nak_tpdu");
+  nak.missing = {3, 4, 9};
+  exact(nak.encode(), "nak_tpdu");
+  exact(FeedbackTpdu{}.encode(), "fb_tpdu");
+  exact(KeepaliveTpdu{}.encode(), "ka_tpdu");
+  DatagramTpdu dg;
+  dg.payload = {9, 8, 7};
+  exact(dg.encode(), "dg_tpdu");
+}
+
 // The split packet path: a truncated header must refuse at every length.
 TEST(WireTotality, DataTpduPacketHeaderPrefixes) {
   DataTpdu t;

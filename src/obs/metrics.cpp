@@ -64,7 +64,7 @@ std::string Registry::key_of(const std::string& name, const Labels& labels) {
   std::size_t len = name.size();
   for (const auto& [k, v] : labels) len += 2 + k.size() + v.size();
   std::string key;
-  key.reserve(len);  // one allocation: VC churn builds these per endpoint
+  key.reserve(len);  // one allocation per lookup
   key += name;
   for (const auto& [k, v] : labels) {
     key += '\x1f';
@@ -78,11 +78,6 @@ std::string Registry::key_of(const std::string& name, const Labels& labels) {
 Registry::Entry& Registry::find_or_create(const std::string& name, const Labels& labels,
                                           Kind kind) {
   const MutexLock lock(mu_);
-  return find_or_create_locked(name, labels, kind);
-}
-
-Registry::Entry& Registry::find_or_create_locked(const std::string& name, const Labels& labels,
-                                                 Kind kind) {
   auto [it, inserted] = entries_.try_emplace(key_of(name, labels));
   Entry& e = it->second;
   if (inserted) {
@@ -131,15 +126,6 @@ std::int64_t Registry::total(const std::string& name) const {
     if (it->second.kind == Kind::kCounter) sum += it->second.c->value();
   }
   return sum;
-}
-
-void Registry::retire(const std::string& name, const Labels& from, const Labels& into) {
-  const MutexLock lock(mu_);
-  const auto it = entries_.find(key_of(name, from));
-  if (it == entries_.end()) return;
-  if (it->second.kind == Kind::kCounter)
-    find_or_create_locked(name, into, Kind::kCounter).c->add(it->second.c->value());
-  entries_.erase(it);
 }
 
 void Registry::clear() {

@@ -1,7 +1,7 @@
 // cmtos/obs/metrics.h
 //
 // The metrics registry: named counters, gauges and histograms with
-// free-form labels (per-VC, per-node, per-bench-configuration), snapshot-
+// free-form labels (per-node, per-role, per-bench-configuration), snapshot-
 // able to JSON.  This is the measurement backbone the orchestration paper
 // implies but never shows: every number that used to live in an ad-hoc
 // fprintf — TPDU loss counts, blocking times, regulation drops, bench
@@ -30,8 +30,9 @@
 namespace cmtos::obs {
 
 /// Metric labels: ordered key/value pairs.  Part of the metric identity —
-/// counter("x", {{"vc","1"}}) and counter("x", {{"vc","2"}}) are distinct
-/// instruments.
+/// counter("x", {{"node","1"}}) and counter("x", {{"node","2"}}) are
+/// distinct instruments.  Per-VC values are not registry rows: they live in
+/// the component that owns the VC (VcStats, QoS reports, HLO stream state).
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
 class Counter {
@@ -99,14 +100,10 @@ class Registry {
   }
 
   std::size_t size() const;
+  /// Drops every instrument.  The references that live TransportEntity,
+  /// LLO and HLO objects cache dangle afterwards, so call it only while no
+  /// simulated world exists (perfbench clears between repetitions).
   void clear();
-
-  /// Retires the instrument `name{from}` when the entity it describes goes
-  /// away: a counter's value is folded into `name{into}` (created on
-  /// demand), so total(name) is unchanged; a gauge or histogram is dropped.
-  /// References to the retired instrument dangle afterwards.  No-op when
-  /// `name{from}` does not exist (e.g. after clear()).
-  void retire(const std::string& name, const Labels& from, const Labels& into);
 
   /// Sum of every counter named `name`, across all label sets (0 when none
   /// exists).  Soak oracles read run totals through this instead of
@@ -136,8 +133,6 @@ class Registry {
 
   static std::string key_of(const std::string& name, const Labels& labels);
   Entry& find_or_create(const std::string& name, const Labels& labels, Kind kind);
-  Entry& find_or_create_locked(const std::string& name, const Labels& labels, Kind kind)
-      CMTOS_REQUIRES(mu_);
 
   mutable Mutex mu_;
   std::map<std::string, Entry> entries_ CMTOS_GUARDED_BY(mu_);

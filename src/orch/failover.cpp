@@ -172,9 +172,10 @@ void FailoverSupervisor::attempt_rebuild() {
             // survivors regulating again under the replacement.
             reg.set_gauge("orch.recovery_gap_s",
                           to_seconds(sched_.now() - recovery_.detected_at));
-            obs::Tracer::global().instant(
-                "Orch.Failover", static_cast<int>(new_node), 0,
-                "{\"old_node\": " + std::to_string(recovery_.old_node) + "}");
+            auto& tr = obs::Tracer::global();
+            if (tr.enabled())
+              tr.instant("Orch.Failover", static_cast<int>(new_node), 0,
+                         "{\"old_node\": " + std::to_string(recovery_.old_node) + "}");
             // Every surviving application stalled for the whole outage:
             // Orch.Delayed with the stall expressed in its own OSDUs.
             const double stall_s = to_seconds(sched_.now() - recovery_.detected_at);

@@ -21,7 +21,14 @@ std::string to_string(MissDiagnosis d) {
 
 HloAgent::HloAgent(Llo& llo, OrchSessionId session, std::vector<OrchStreamSpec> streams,
                    OrchPolicy policy)
-    : llo_(llo), session_(session), streams_(std::move(streams)), policy_(policy) {
+    : llo_(llo),
+      m_missed_intervals_(obs::Registry::global().counter(
+          "hlo.missed_intervals", {{"node", std::to_string(llo.node_id())}})),
+      m_abs_error_osdus_(obs::Registry::global().histogram(
+          "hlo.abs_error_osdus", {{"node", std::to_string(llo.node_id())}})),
+      session_(session),
+      streams_(std::move(streams)),
+      policy_(policy) {
   for (const auto& s : streams_) status_[s.vc.vc] = VcStatus{};
   llo_.set_regulate_callback(session_,
                              [this](const RegulateIndication& ind) { on_regulate(ind); });
@@ -203,8 +210,10 @@ void HloAgent::interval_tick() {
   // supervisor will notice via last_report_time and re-elect elsewhere).
   if (!running_ || llo_.down() || streams_.empty()) return;
   const std::uint32_t id = next_interval_id_++;
-  obs::Tracer::global().instant("HLO.interval_tick", static_cast<int>(llo_.node_id()), 0,
-                                "{\"interval_id\": " + std::to_string(id) + "}");
+  auto& tr = obs::Tracer::global();
+  if (tr.enabled())
+    tr.instant("HLO.interval_tick", static_cast<int>(llo_.node_id()), 0,
+               "{\"interval_id\": " + std::to_string(id) + "}");
 
   // The agent compensates "for any relative speed up or slow down among
   // the orchestrated connections" (§5).  Each stream's target is a *rate*
@@ -328,16 +337,16 @@ void HloAgent::on_regulate(const RegulateIndication& ind) {
   }
   st.last_diagnosis = diag;
 
-  // Per-VC regulation health for registry snapshots (bench JSON / dashboards).
-  const obs::Labels labels = {{"vc", std::to_string(ind.vc)}};
-  auto& reg = obs::Registry::global();
-  reg.set_gauge("hlo.last_error_osdus", st.last_error_osdus, labels);
-  reg.histogram("hlo.abs_error_osdus", labels).observe(std::abs(st.last_error_osdus));
+  // Node-level regulation health for registry snapshots (bench JSON /
+  // dashboards); status() reports it per stream.
+  m_abs_error_osdus_.observe(std::abs(st.last_error_osdus));
   if (diag != MissDiagnosis::kOnTarget) {
-    reg.counter("hlo.missed_intervals", labels).add();
-    obs::Tracer::global().instant("HLO.miss", static_cast<int>(llo_.node_id()),
-                                  static_cast<int>(ind.vc & 0xffffffffu),
-                                  "{\"diagnosis\": \"" + to_string(diag) + "\"}");
+    m_missed_intervals_.add();
+    auto& tr = obs::Tracer::global();
+    if (tr.enabled())
+      tr.instant("HLO.miss", static_cast<int>(llo_.node_id()),
+                 static_cast<int>(ind.vc & 0xffffffffu),
+                 "{\"diagnosis\": \"" + to_string(diag) + "\"}");
   }
 
   if (on_interval_) on_interval_(ind, st.last_target);

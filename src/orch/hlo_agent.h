@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "orch/llo.h"
 #include "util/time.h"
 
@@ -234,6 +235,10 @@ class HloAgent {
   double position_seconds(const OrchStreamSpec& s) const;
 
   Llo& llo_;
+  // This node's regulation-health rows ({node}), resolved once; per-stream
+  // values live in status_.
+  obs::Counter& m_missed_intervals_;
+  obs::Histogram& m_abs_error_osdus_;
   OrchSessionId session_;
   std::vector<OrchStreamSpec> streams_;
   OrchPolicy policy_;

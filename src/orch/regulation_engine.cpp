@@ -85,6 +85,9 @@ void RegulationEngine::on_vc_closed(VcId vc, transport::DisconnectReason reason)
 
 void RegulationEngine::attach_endpoint(OrchSessionId s, const OrchVcInfo& info,
                                        net::NodeId orch_node) {
+  if (m_osdus_dropped_ == nullptr)
+    m_osdus_dropped_ = &obs::Registry::global().counter(
+        "orch.osdus_dropped", {{"node", std::to_string(llo_.node_)}});
   auto& st = locals_[{s, info.vc}];
   st.info = info;
   st.orch_node = orch_node;
@@ -99,9 +102,11 @@ void RegulationEngine::attach_endpoint(OrchSessionId s, const OrchVcInfo& info,
         VcLocal* lst = local(key);
         if (lst == nullptr || !lst->event_armed) return;
         if ((osdu.event & lst->event_mask) != lst->event_pattern) return;
-        obs::Tracer::global().instant("Orch.Event", static_cast<int>(llo_.node_),
-                                      static_cast<int>(key.second & 0xffffffffu),
-                                      "{\"osdu_seq\": " + std::to_string(osdu.seq) + "}");
+        auto& tr = obs::Tracer::global();
+        if (tr.enabled())
+          tr.instant("Orch.Event", static_cast<int>(llo_.node_),
+                     static_cast<int>(key.second & 0xffffffffu),
+                     "{\"osdu_seq\": " + std::to_string(osdu.seq) + "}");
         Opdu o;
         o.type = OpduType::kEventInd;
         o.session = key.first;
@@ -533,12 +538,11 @@ void RegulationEngine::handle_drop(const Opdu& o) {
   const std::uint32_t executed = conn->drop_at_source(std::min(o.drop_count, allowed));
   st->src_dropped += executed;
   if (executed > 0) {
-    obs::Registry::global()
-        .counter("orch.osdus_dropped", {{"vc", std::to_string(o.vc)}})
-        .add(executed);
-    obs::Tracer::global().instant("Orch.Drop", static_cast<int>(llo_.node_),
-                                  static_cast<int>(o.vc & 0xffffffffu),
-                                  "{\"count\": " + std::to_string(executed) + "}");
+    m_osdus_dropped_->add(executed);
+    auto& tr = obs::Tracer::global();
+    if (tr.enabled())
+      tr.instant("Orch.Drop", static_cast<int>(llo_.node_), static_cast<int>(o.vc & 0xffffffffu),
+                 "{\"count\": " + std::to_string(executed) + "}");
   }
 }
 
@@ -555,9 +559,10 @@ void RegulationEngine::handle_event_reg(const Opdu& o) {
 void RegulationEngine::handle_delayed(const Opdu& o) {
   if (epoch_fenced(o)) return;
   const bool source_side = o.source_side != 0;
-  obs::Tracer::global().instant("Orch.Delayed", static_cast<int>(llo_.node_),
-                                static_cast<int>(o.vc & 0xffffffffu),
-                                "{\"osdus_behind\": " + std::to_string(o.osdus_behind) + "}");
+  auto& tr = obs::Tracer::global();
+  if (tr.enabled())
+    tr.instant("Orch.Delayed", static_cast<int>(llo_.node_), static_cast<int>(o.vc & 0xffffffffu),
+               "{\"osdus_behind\": " + std::to_string(o.osdus_behind) + "}");
   const bool accepted =
       llo_.app_ == nullptr ||
       llo_.app_->orch_delayed_indication(o.session, o.vc, source_side, o.osdus_behind);

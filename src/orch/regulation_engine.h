@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <utility>
 
+#include "obs/metrics.h"
 #include "orch/orch_types.h"
 #include "util/slot_table.h"
 #include "sim/node_runtime.h"
@@ -135,6 +136,9 @@ class CMTOS_SHARD_AFFINE RegulationEngine {
   void detach_endpoint(LocalKey key);
 
   Llo& llo_;
+  // This node's orch.osdus_dropped{node} row, resolved by the first
+  // endpoint attachment, so nodes without orchestrated VCs add no row.
+  obs::Counter* m_osdus_dropped_ = nullptr;
   std::size_t session_limit_ = 64;
   bool fencing_ = true;
   // Flat tables: regulation_slot probes locals_ 8x per interval per VC and

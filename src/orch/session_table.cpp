@@ -58,6 +58,13 @@ void SessionTable::orch_request(OrchSessionId s, std::vector<OrchVcInfo> vcs, Or
       }
     }
   }
+  if (m_regulate_intervals_ == nullptr) {
+    auto& reg = obs::Registry::global();
+    const obs::Labels labels = {{"node", std::to_string(llo_.node_)}};
+    m_regulate_intervals_ = &reg.counter("orch.regulate_intervals", labels);
+    m_regulate_partial_ = &reg.counter("orch.regulate_partial", labels);
+    m_regulate_silent_ = &reg.counter("orch.regulate_silent", labels);
+  }
   Session sess;
   sess.vcs = vcs;
   // OPDUs ride the internal control VC of each orchestrated transport
@@ -352,9 +359,7 @@ void SessionTable::regulate(OrchSessionId s, VcId vc, std::int64_t target_seq,
             obs::Tracer::global().async_end("Orch.Regulate", mit->second.span_id,
                                             static_cast<int>(llo_.node_),
                                             static_cast<int>(key.first & 0xffffffffu));
-          obs::Registry::global()
-              .counter("orch.regulate_silent", {{"vc", std::to_string(key.first)}})
-              .add();
+          m_regulate_silent_->add();
           se->reg_merge.erase(mit);
           return;
         }
@@ -479,13 +484,8 @@ void SessionTable::emit_regulate_ind(OrchSessionId s, std::pair<VcId, std::uint3
                                     static_cast<int>(key.first & 0xffffffffu));
   RegulateIndication ind = it->second.ind;
   sess->reg_merge.erase(it);
-  obs::Registry::global()
-      .counter("orch.regulate_intervals", {{"vc", std::to_string(ind.vc)}})
-      .add();
-  if (ind.partial)
-    obs::Registry::global()
-        .counter("orch.regulate_partial", {{"vc", std::to_string(ind.vc)}})
-        .add();
+  m_regulate_intervals_->add();
+  if (ind.partial) m_regulate_partial_->add();
   if (auto cb = on_regulate_.find(s); cb != on_regulate_.end() && cb->second) cb->second(ind);
 }
 

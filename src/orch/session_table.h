@@ -21,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "orch/orch_types.h"
 #include "sim/node_runtime.h"
 #include "transport/timer_set.h"
@@ -162,6 +163,12 @@ class CMTOS_SHARD_AFFINE SessionTable {
   Llo& llo_;
   transport::TimerSet& timers_;
   Duration op_timeout_ = 5 * kSecond;
+  // This node's regulation-interval rows ({node}): merged indications, the
+  // partial ones among them, and silent intervals.  Resolved by the node's
+  // first orch_request, so nodes that never orchestrate add no rows.
+  obs::Counter* m_regulate_intervals_ = nullptr;
+  obs::Counter* m_regulate_partial_ = nullptr;
+  obs::Counter* m_regulate_silent_ = nullptr;
   PeerQuarantine quarantine_;
 
   // Flat tables: the orchestrating side is probed per OPDU and per

@@ -1,7 +1,6 @@
 #include "transport/connection.h"
 
 #include <algorithm>
-#include <array>
 #include <cstring>
 #include <iterator>
 #include <string>
@@ -46,20 +45,6 @@ constexpr Duration kFeedbackPeriod = 20 * kMillisecond;
 /// NAK retry interval and cap (error-correction class).
 constexpr Duration kNakRetryAfter = 60 * kMillisecond;
 constexpr int kNakMaxTries = 3;
-
-/// The per-endpoint counters, in the order of Connection's m_* members.
-constexpr std::array<const char*, 7> kVcCounters = {
-    "transport.tpdus_sent",  "transport.tpdus_received", "transport.tpdus_lost",
-    "transport.tpdus_corrupt", "transport.dup_dropped", "transport.osdus_delivered",
-    "buffer.shed"};
-
-/// Per-endpoint labels; `vc` is the VC id, or "retired" for the per-node
-/// rows a destroyed endpoint's counters fold into.
-obs::Labels vc_labels(std::string vc, net::NodeId node, VcRole role) {
-  return {{"vc", std::move(vc)},
-          {"node", std::to_string(node)},
-          {"role", role == VcRole::kSource ? "source" : "sink"}};
-}
 }  // namespace
 
 Connection::Connection(TransportEntity& entity, VcId id, VcRole role,
@@ -72,24 +57,18 @@ Connection::Connection(TransportEntity& entity, VcId id, VcRole role,
       request_(request),
       agreed_(agreed),
       reservation_(reservation),
-      buffer_(std::max<std::uint32_t>(2, request.buffer_osdus)) {
+      buffer_(std::max<std::uint32_t>(2, request.buffer_osdus)),
+      counters_(entity.counters(role)) {
   trace_pid_ = static_cast<int>(local_node());
   trace_tid_ = static_cast<int>(id_ & 0xffffffffu);
   buffer_.set_trace_identity(trace_pid_, trace_tid_);
-  const obs::Labels labels = vc_labels(std::to_string(id_), local_node(), role_);
-  auto& reg = obs::Registry::global();
-  obs::Counter** slots[] = {&m_tpdus_sent_,   &m_tpdus_received_, &m_tpdus_lost_,
-                            &m_tpdus_corrupt_, &m_dup_dropped_,   &m_osdus_delivered_,
-                            &m_osdus_shed_};
-  static_assert(std::size(slots) == kVcCounters.size());
-  for (std::size_t i = 0; i < kVcCounters.size(); ++i)
-    *slots[i] = &reg.counter(kVcCounters[i], labels);
   if (role_ == VcRole::kSink) {
     if (request_.shed_watermark_pct > 0) {
       shed_watermark_slots_ = std::max<std::size_t>(
           1, buffer_.capacity() * request_.shed_watermark_pct / 100);
     }
-    monitor_ = std::make_unique<QosMonitor>(id_, agreed_, request_.sample_period);
+    monitor_ = std::make_unique<QosMonitor>(id_, agreed_, request_.sample_period,
+                                            counters_.qos_violation_periods);
     monitor_->set_warmup_periods(1);  // pipeline fill distorts the first period
     // T-QoS.indication is generated only when the selected class of
     // service includes the indication facility (§3.4 / §4.1.2).
@@ -116,11 +95,6 @@ Connection::~Connection() {
   feedback_event_.cancel();
   monitor_event_.cancel();
   cancel_liveness_timers();
-  // Fold this endpoint's counters into per-node rows: the registry follows
-  // live VCs under churn while every counter total stays exact.
-  const obs::Labels labels = vc_labels(std::to_string(id_), local_node(), role_);
-  const obs::Labels retired = vc_labels("retired", local_node(), role_);
-  for (const char* name : kVcCounters) obs::Registry::global().retire(name, labels, retired);
 }
 
 net::NodeId Connection::local_node() const {
@@ -242,7 +216,7 @@ std::optional<Osdu> Connection::receive() {
     wake_feedback();  // the freed slot may let a throttled source speed up
     last_delivered_seq_ = osdu->seq;
     ++stats_.osdus_delivered;
-    m_osdus_delivered_->add();
+    counters_.osdus_delivered.add();
     if (on_osdu_delivered_) on_osdu_delivered_(*osdu, entity_.local_now());
   }
   return osdu;
@@ -354,7 +328,7 @@ void Connection::send_data_tpdu(DataTpdu&& dt, bool retransmission,
   } else {
     ++stats_.tpdus_sent;
   }
-  m_tpdus_sent_->add();
+  counters_.tpdus_sent.add();
   obs::Tracer::global().instant(retransmission ? "TPDU.retx" : "TPDU.tx", trace_pid_,
                                 trace_tid_);
   // Retain for NAK-driven recovery (bounded).  The payload is a refcounted
@@ -536,7 +510,7 @@ void Connection::on_data(const net::Packet& pkt) {
     // The corrupt TPDU's bytes still crossed the wire; they belong in the
     // BER denominator.
     if (monitor_) monitor_->on_tpdu_corrupt(static_cast<std::int64_t>(pkt.wire_size()));
-    m_tpdus_corrupt_->add();
+    counters_.tpdus_corrupt.add();
     // On the packet path, kBadLength means the attached frame was cut or
     // padded in flight — line damage, same as a checksum failure.  Only a
     // CRC-valid header with structural nonsense (kBadType) is the peer's
@@ -552,7 +526,7 @@ void Connection::on_data(const net::Packet& pkt) {
     return;
   }
   ++stats_.tpdus_received;
-  m_tpdus_received_->add();
+  counters_.tpdus_received.add();
   wake_feedback();
   obs::Tracer::global().instant("TPDU.rx", trace_pid_, trace_tid_);
   if (monitor_) {
@@ -624,7 +598,7 @@ void Connection::note_gap(std::uint32_t from_seq, std::uint32_t to_seq) {
   } else {
     stats_.tpdus_lost += n;
     if (monitor_) monitor_->on_tpdu_lost(n);
-    m_tpdus_lost_->add(n);
+    counters_.tpdus_lost.add(n);
     obs::Tracer::global().instant("TPDU.loss", trace_pid_, trace_tid_);
   }
 }
@@ -642,7 +616,7 @@ std::int64_t Connection::unwrap_osdu_seq(std::uint32_t seq) const {
 
 void Connection::drop_duplicate_tpdu() {
   ++stats_.tpdus_dup_dropped;
-  m_dup_dropped_->add();
+  counters_.dup_dropped.add();
   obs::Tracer::global().instant("TPDU.dup", trace_pid_, trace_tid_);
 }
 
@@ -803,7 +777,7 @@ void Connection::push_delivery_queue() {
     while (buffer_.size() >= shed_watermark_slots_) {
       if (!buffer_.shed_oldest(sched_.now())) break;
       ++stats_.osdus_shed;
-      m_osdus_shed_->add();
+      counters_.shed.add();
       shed_any = true;
     }
     if (!shed_any) break;
@@ -833,7 +807,7 @@ void Connection::give_up_on_holes() {
     if (abandoned > 0) {
       stats_.tpdus_lost += abandoned;
       if (monitor_) monitor_->on_tpdu_lost(abandoned);
-      m_tpdus_lost_->add(abandoned);
+      counters_.tpdus_lost.add(abandoned);
       obs::Tracer::global().instant("TPDU.loss", trace_pid_, trace_tid_);
     }
   }

@@ -78,6 +78,21 @@ struct VcStats {
   std::int64_t feedback_sent = 0;         // rate-profile FB TPDUs emitted
 };
 
+/// The registry rows every endpoint of one role on a node adds to, labelled
+/// {node, role}; the QoS monitor's `qos.violation_periods` row is {node} and
+/// exists for the sink role only.  The TransportEntity resolves them once
+/// per role (TransportEntity::counters); per-VC values live in VcStats.
+struct EndpointCounters {
+  obs::Counter& tpdus_sent;
+  obs::Counter& tpdus_received;
+  obs::Counter& tpdus_lost;
+  obs::Counter& tpdus_corrupt;
+  obs::Counter& dup_dropped;
+  obs::Counter& osdus_delivered;
+  obs::Counter& shed;
+  obs::Counter* qos_violation_periods;
+};
+
 class CMTOS_SHARD_AFFINE Connection {
  public:
   Connection(TransportEntity& entity, VcId id, VcRole role, const ConnectRequest& request,
@@ -334,16 +349,9 @@ class CMTOS_SHARD_AFFINE Connection {
   Time last_peer_activity_ = 0;
 
   // === observability ===
-  // Cached global-registry instruments (labelled per VC + node + role);
-  // resolved once at construction so the data path never takes the
-  // registry lock.
-  obs::Counter* m_tpdus_sent_ = nullptr;
-  obs::Counter* m_tpdus_received_ = nullptr;
-  obs::Counter* m_tpdus_lost_ = nullptr;
-  obs::Counter* m_tpdus_corrupt_ = nullptr;
-  obs::Counter* m_dup_dropped_ = nullptr;
-  obs::Counter* m_osdus_delivered_ = nullptr;
-  obs::Counter* m_osdus_shed_ = nullptr;
+  // The node's per-role registry rows, shared with every endpoint of this
+  // role on the node: the data path never takes the registry lock.
+  EndpointCounters& counters_;
   int trace_pid_ = 0;  // node id
   int trace_tid_ = 0;  // VC (low 32 bits)
 };

@@ -7,37 +7,9 @@
 
 namespace cmtos::transport {
 
-QosMonitor::QosMonitor(VcId vc, QosParams agreed, Duration sample_period)
-    : vc_(vc), agreed_(agreed), sample_period_(sample_period) {
-  const obs::Labels labels = {{"vc", std::to_string(vc_)}};
-  auto& reg = obs::Registry::global();
-  g_osdu_rate_ = &reg.gauge("qos.osdu_rate", labels);
-  g_mean_delay_ms_ = &reg.gauge("qos.mean_delay_ms", labels);
-  g_jitter_ms_ = &reg.gauge("qos.jitter_ms", labels);
-  g_per_ = &reg.gauge("qos.packet_error_rate", labels);
-  g_ber_ = &reg.gauge("qos.bit_error_rate", labels);
-  c_violations_ = &reg.counter("qos.violation_periods", labels);
-}
-
-QosMonitor::~QosMonitor() {
-  // The gauges are last-value samples of a VC that is gone; the violation
-  // count folds into one "retired" row so its total stays exact.
-  const obs::Labels labels = {{"vc", std::to_string(vc_)}};
-  const obs::Labels retired = {{"vc", "retired"}};
-  auto& reg = obs::Registry::global();
-  for (const char* name : {"qos.osdu_rate", "qos.mean_delay_ms", "qos.jitter_ms",
-                           "qos.packet_error_rate", "qos.bit_error_rate",
-                           "qos.violation_periods"})
-    reg.retire(name, labels, retired);
-}
-
 void QosMonitor::publish(const QosReport& rep) {
-  g_osdu_rate_->set(rep.measured_osdu_rate);
-  g_mean_delay_ms_->set(to_millis(rep.measured_mean_delay));
-  g_jitter_ms_->set(to_millis(rep.measured_jitter));
-  g_per_->set(rep.measured_packet_error_rate);
-  g_ber_->set(rep.measured_bit_error_rate);
-  if (rep.violations.any() && !rep.warmup) c_violations_->add();
+  if (violation_periods_ != nullptr && rep.violations.any() && !rep.warmup)
+    violation_periods_->add();
 
   auto& tr = obs::Tracer::global();
   if (!tr.enabled()) return;

@@ -1,5 +1,6 @@
 #include "transport/transport_entity.h"
 
+#include "obs/metrics.h"
 #include "obs/wire_stats.h"
 #include "util/contract.h"
 #include "util/logging.h"
@@ -48,6 +49,25 @@ Connection* TransportEntity::sink(VcId vc) {
 Connection* TransportEntity::endpoint(VcId vc) {
   if (Connection* c = source(vc)) return c;
   return sink(vc);
+}
+
+EndpointCounters& TransportEntity::counters(VcRole role) {
+  auto& slot = counters_[static_cast<std::size_t>(role)];
+  if (slot) return *slot;
+  auto& reg = obs::Registry::global();
+  const obs::Labels labels = {{"node", std::to_string(node_)},
+                              {"role", role == VcRole::kSource ? "source" : "sink"}};
+  return slot.emplace(EndpointCounters{
+      reg.counter("transport.tpdus_sent", labels),
+      reg.counter("transport.tpdus_received", labels),
+      reg.counter("transport.tpdus_lost", labels),
+      reg.counter("transport.tpdus_corrupt", labels),
+      reg.counter("transport.dup_dropped", labels),
+      reg.counter("transport.osdus_delivered", labels),
+      reg.counter("buffer.shed", labels),
+      role == VcRole::kSink
+          ? &reg.counter("qos.violation_periods", {{"node", std::to_string(node_)}})
+          : nullptr});
 }
 
 VcId TransportEntity::alloc_vc() {

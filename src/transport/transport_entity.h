@@ -184,6 +184,10 @@ class CMTOS_SHARD_AFFINE TransportEntity {
   /// bit 63, so the two halves of a loopback VC stay independent).
   TimerSet& timer_set() { return timers_; }
 
+  /// This node's registry rows for endpoints of `role`, resolved on the
+  /// first endpoint of that role and shared by every later one.
+  EndpointCounters& counters(VcRole role);
+
   /// Liveness timeout fired by a Connection: the peer endpoint of `vc`
   /// went silent past config().peer_dead_after.  Tears the local endpoint
   /// down, frees its resources and delivers kPeerDead.
@@ -259,6 +263,8 @@ class CMTOS_SHARD_AFFINE TransportEntity {
   Rng rng_;
   std::function<void(VcId, DisconnectReason)> on_vc_closed_;
   std::uint32_t next_vc_ = 1;
+  /// counters(role), indexed by VcRole.
+  std::array<std::optional<EndpointCounters>, 2> counters_;
 
   /// Every protocol timer of this entity (handshake retransmits, RN
   /// retries, per-VC keepalive/liveness), shared by both engines and the

@@ -102,20 +102,6 @@ TEST(ObsRegistry, TotalSumsCounterAcrossLabelSetsOnly) {
   EXPECT_EQ(reg.total("x2"), 0);  // gauges are not counters
 }
 
-TEST(ObsRegistry, RetireFoldsCountersAndDropsGauges) {
-  Registry reg;
-  reg.counter("x", {{"vc", "1"}}).add(2);
-  reg.counter("x", {{"vc", "2"}}).add(3);
-  reg.set_gauge("g", 1.5, {{"vc", "1"}});
-  reg.retire("x", {{"vc", "1"}}, {{"vc", "retired"}});
-  reg.retire("x", {{"vc", "2"}}, {{"vc", "retired"}});
-  reg.retire("g", {{"vc", "1"}}, {{"vc", "retired"}});
-  reg.retire("x", {{"vc", "9"}}, {{"vc", "retired"}});  // unknown: no-op
-  EXPECT_EQ(reg.total("x"), 5);
-  EXPECT_EQ(reg.counter("x", {{"vc", "retired"}}).value(), 5);
-  EXPECT_EQ(reg.size(), 1u);
-}
-
 TEST(ObsRegistry, KindMismatchThrows) {
   Registry reg;
   reg.counter("metric");
@@ -168,12 +154,13 @@ TEST(ObsRegistry, WriteJsonRoundTrips) {
 
 // --- tracer ---
 
-// Per-VC instruments under churn: a destroyed endpoint's counters fold
-// into per-node "retired" rows, so the registry follows the live VC count
-// while every counter total stays exact.
+// Per-VC values live in the VC (VcStats): every endpoint adds to its node's
+// {node, role} rows, so the registry size depends neither on VC churn nor on
+// the number of concurrent VCs, and every counter total stays exact.
 TEST(ObsRegistry, VcChurnKeepsRegistryBoundedAndTotalsExact) {
   constexpr int kLive = 20;
   constexpr int kChurn = 1000;
+  constexpr int kMoreLive = 200;
   net::LinkConfig link = lan_link();
   link.bandwidth_bps = 100'000'000;
   PairPlatform w(link);
@@ -187,10 +174,9 @@ TEST(ObsRegistry, VcChurnKeepsRegistryBoundedAndTotalsExact) {
                                        reg.total("transport.osdus_delivered")};
   };
   const auto totals0 = totals();
-  obs::Counter& retired_delivered = reg.counter(
-      "transport.osdus_delivered",
-      {{"vc", "retired"}, {"node", std::to_string(w.b->id)}, {"role", "sink"}});
-  const std::int64_t retired0 = retired_delivered.value();
+  obs::Counter& node_delivered = reg.counter(
+      "transport.osdus_delivered", {{"node", std::to_string(w.b->id)}, {"role", "sink"}});
+  const std::int64_t delivered0 = node_delivered.value();
 
   std::deque<transport::VcId> live;
   Time t = 0;
@@ -215,16 +201,21 @@ TEST(ObsRegistry, VcChurnKeepsRegistryBoundedAndTotalsExact) {
     open_one();
   };
   for (int i = 0; i < kLive; ++i) open_one();
-  for (int i = 0; i < 10; ++i) churn_one();  // the retired rows now exist
+  for (int i = 0; i < 10; ++i) churn_one();
   w.platform.run_until(t += 100 * kMillisecond);
   const std::size_t size_warm = reg.size();
   for (int i = 10; i < kChurn; ++i) churn_one();
   w.platform.run_until(t += 100 * kMillisecond);
   EXPECT_EQ(reg.size(), size_warm);
+  for (int i = 0; i < kMoreLive; ++i) open_one();  // kLive + kMoreLive concurrent
+  w.platform.run_until(t += 100 * kMillisecond);
+  EXPECT_EQ(live.size(), static_cast<std::size_t>(kLive + kMoreLive));
+  EXPECT_EQ(reg.size(), size_warm);
 
   const auto totals1 = totals();
   for (std::size_t i = 0; i < totals1.size(); ++i) EXPECT_EQ(totals1[i] - totals0[i], osdus);
-  EXPECT_EQ(retired_delivered.value() - retired0, kChurn);
+  EXPECT_EQ(osdus, kLive + kChurn + kMoreLive);
+  EXPECT_EQ(node_delivered.value() - delivered0, osdus);
 }
 
 TEST(ObsTracer, WritesValidChromeTrace) {

@@ -39,6 +39,11 @@ Rules
                        entity's renegotiation path (src/transport/).  Anywhere
                        else it silently detaches the monitor from the contract
                        the peers actually agreed on.
+  per-vc-metric        a {"vc", ...} metrics-registry label in src/.  Per-VC
+                       values live in the component that owns the VC (VcStats,
+                       QoS reports, HLO stream state); the registry keeps
+                       per-node rows, so its size does not grow with the VC
+                       population.
   stale-allow          a `cmtos-lint: allow(rule)` comment that suppresses
                        nothing — the named rule no longer fires on that line or
                        the next — or that names a rule this tool does not know
@@ -72,6 +77,7 @@ KNOWN_RULES = {
     "include-hygiene",
     "banned-function",
     "qos-set-agreed",
+    "per-vc-metric",
     "stale-allow",
 }
 
@@ -98,6 +104,12 @@ INCLUDE_RE = re.compile(r'#\s*include\s*[<"]([^">]+)[">]')
 # qos-set-agreed: a member call (not the declaration) to set_agreed outside
 # src/transport/.  Contract changes must flow through renegotiation.
 SET_AGREED_RE = re.compile(r"(?:\.|->)\s*set_agreed\s*\(")
+
+# per-vc-metric: a label pair keyed "vc".  Matched on the raw line (string
+# stripping would eat the key); the stripped line must still show a
+# `{"",` pair so a mention inside a comment does not fire.
+VC_LABEL_RE = re.compile(r'\{\s*"vc"\s*,')
+STRIPPED_LABEL_RE = re.compile(r'\{\s*""\s*,')
 
 BANNED_CALLS = {
     # call-site regex -> (rule applies to src/ only?, message)
@@ -190,6 +202,12 @@ def raw_findings(path: Path, lines: list[str], rel: str) -> list[Finding]:
                         "QosMonitor::set_agreed() outside src/transport/; contract "
                         "changes must flow through renegotiation"))
 
+        if in_src and VC_LABEL_RE.search(raw) and STRIPPED_LABEL_RE.search(line):
+            findings.append(
+                Finding(path, idx + 1, "per-vc-metric",
+                        'registry label {"vc", ...}; keep per-VC values in the '
+                        "owning component and count on a per-node row"))
+
         for pat, (src_only, msg) in BANNED_CALLS.items():
             if src_only and not in_src:
                 continue
@@ -272,6 +290,9 @@ void f() {
   const auto n = static_cast<std::uint16_t>(v.size());
   mon.set_agreed(p);
   mon.set_agreed(p);  // cmtos-lint: allow(qos-set-agreed)
+  reg.counter("x", {{"vc", std::to_string(vc)}}).add();
+  reg.counter("x", {{"vc", "1"}});  // cmtos-lint: allow(per-vc-metric)
+  // a comment may name counter("x", {{"vc", "1"}})
 }
 """
 PROBE_EXPECT = {  # line -> rule
@@ -282,6 +303,7 @@ PROBE_EXPECT = {  # line -> rule
     (6, "banned-function"),  # raw assert (probe scans as src/)
     (8, "narrowing-in-codec"),  # probe scans as a codec file
     (9, "qos-set-agreed"),  # probe is src/ but not src/transport/; 10 allowed
+    (11, "per-vc-metric"),  # 12 allowed; 13 is a comment
 }
 
 

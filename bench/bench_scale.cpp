@@ -1,12 +1,12 @@
-// Experiment S1 — the scale-out core: flat tables, hierarchical timer
-// wheel, 10k-VC churn, and federated orchestration fan-in.
+// Experiment S1 — the scale-out core: flat tables, the per-shard event
+// queue, 10k-VC churn, and federated orchestration fan-in.
 //
 // Four sections:
 //   1. table microbench  — FlatMap vs std::map/unordered_map lookup at 10k
 //                          entries, plus steady-state churn allocations
 //                          (open addressing + slab freelist => zero);
-//   2. timer microbench  — arm/cancel/fire cost with 10k armed timers on
-//                          the hierarchical wheel (sim/node_runtime);
+//   2. timer microbench  — arm/cancel/fire cost with 10k armed timers in
+//                          one shard's (time, seq) heap (sim/node_runtime);
 //   3. churn macrobench  — >= 10,000 concurrent transport VCs under
 //                          connect/disconnect churn: per-VC heap bytes,
 //                          allocations per churn op at two populations
@@ -198,7 +198,7 @@ TimerMicro run_timer_micro(std::size_t timers) {
   std::size_t fired = 0;
   std::uint64_t s = 0xdeadbeef;
 
-  // Arm: delays spread from 1 ms to ~20 s, crossing every wheel level.
+  // Arm: delays spread from 1 ms to ~20 s.
   auto t0 = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < timers; ++i) {
     const Duration d = kMillisecond + static_cast<Duration>(mix64(s) % (20 * kSecond));
@@ -211,7 +211,7 @@ TimerMicro run_timer_micro(std::size_t timers) {
   for (std::size_t i = 0; i < timers; i += 2) handles[i].cancel();
   r.cancel_ns = wall_seconds_since(t0) * 1e9 / static_cast<double>(timers / 2);
 
-  // Fire the survivors (includes all wheel cascade work).
+  // Fire the survivors (includes reaping the cancelled entries).
   t0 = std::chrono::steady_clock::now();
   sched.run_until(21 * kSecond);
   r.fired = fired;
@@ -502,8 +502,8 @@ int main(int argc, char** argv) {
     b.set("scale.flatmap_churn_allocs_per_op", t.flat_churn_allocs_per_op);
   }
 
-  title("S1.2: hierarchical timer wheel at 10k armed timers",
-        "scale-out core — O(1) arm/cancel/fire (sim/node_runtime wheel)");
+  title("S1.2: per-shard event queue at 10k armed timers",
+        "scale-out core — O(log n) arm/fire, O(1) lazy cancel (sim/node_runtime heap)");
   {
     const auto t = run_timer_micro(10'000);
     row("%-28s %14s %14s %14s", "timers", "arm ns/op", "cancel ns/op", "fire ns/op");

@@ -1,7 +1,6 @@
 #include "sim/node_runtime.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "obs/trace.h"
 #include "sim/executor.h"
@@ -57,10 +56,10 @@ EventHandle NodeRuntime::insert_direct(Time t, EventFn fn, bool global) {
   s.global = global;
 
   const HeapEntry e{t, next_seq_++, idx, s.gen};
-  enqueue_entry(e);
+  heap_.push_back(e);
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
   if (global) {
-    // Exact mirror for min_global_time(), regardless of where the primary
-    // entry resides (near heap, wheel bucket, or far heap).
+    // Exact mirror for min_global_time().
     global_heap_.push_back(e);
     std::push_heap(global_heap_.begin(), global_heap_.end(), Later{});
   }
@@ -69,119 +68,6 @@ EventHandle NodeRuntime::insert_direct(Time t, EventFn fn, bool global) {
   if (!exec_->in_parallel_round()) exec_->index_insert(shard_, t, global);
   live_.fetch_add(1, std::memory_order_relaxed);
   return EventHandle(this, idx, s.gen);
-}
-
-void NodeRuntime::enqueue_entry(const HeapEntry& e) {
-  const std::int64_t tick = e.time / kWheelTick;
-  if (tick <= wheel_base_tick_) {
-    // At or behind the wheel base (includes barrier-drained cross-shard
-    // inserts below a speculatively advanced base): near heap.
-    heap_.push_back(e);
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
-    return;
-  }
-  const std::int64_t delta = tick - wheel_base_tick_;
-  if (delta >= kWheelSpan) {
-    far_heap_.push_back(e);
-    std::push_heap(far_heap_.begin(), far_heap_.end(), Later{});
-    return;
-  }
-  std::uint32_t level = 0;
-  while (delta >= (std::int64_t{1} << (kWheelBits * (level + 1)))) ++level;
-  const auto slot = static_cast<std::uint32_t>(
-      (tick >> (kWheelBits * level)) & (kWheelSlots - 1));
-  WheelBucket& b = wheel_[level * kWheelSlots + slot];
-  b.entries.push_back(e);
-  if (tick < b.min_tick) b.min_tick = tick;
-  if (tick < wheel_min_tick_) wheel_min_tick_ = tick;
-  wheel_occupied_[level] |= std::uint64_t{1} << slot;
-  ++wheel_count_;
-}
-
-void NodeRuntime::ensure_near() {
-  for (;;) {
-    const HeapEntry* near_top = peek(heap_);
-    const Time near_time = near_top != nullptr ? near_top->time : kTimeNever;
-    const HeapEntry* far_top = peek(far_heap_);
-    const Time far_time = far_top != nullptr ? far_top->time : kTimeNever;
-    const Time wheel_time =
-        wheel_count_ > 0 ? wheel_min_tick_ * kWheelTick : kTimeNever;
-    const Time bound = std::min(far_time, wheel_time);
-    // Strict inequality: an equal-time wheel entry may carry a smaller seq
-    // than the near top, so ties must be resolved by draining into the near
-    // heap and letting the (time, seq) comparator decide.
-    if (bound == kTimeNever || near_time < bound) return;
-    if (far_time <= wheel_time) {
-      // The far top is the earliest remaining event; promote it directly.
-      const HeapEntry e = *far_top;
-      std::pop_heap(far_heap_.begin(), far_heap_.end(), Later{});
-      far_heap_.pop_back();
-      heap_.push_back(e);
-      std::push_heap(heap_.begin(), heap_.end(), Later{});
-      continue;
-    }
-    drain_min_bucket();
-  }
-}
-
-void NodeRuntime::drain_min_bucket() {
-  // Locate the bucket whose cached minimum is the wheel minimum.  Fixed
-  // level-major, slot-order scan keeps the choice deterministic.
-  std::size_t target = wheel_.size();
-  for (std::uint32_t level = 0; level < kWheelLevels && target == wheel_.size();
-       ++level) {
-    std::uint64_t bits = wheel_occupied_[level];
-    while (bits != 0) {
-      const auto slot = static_cast<std::uint32_t>(std::countr_zero(bits));
-      bits &= bits - 1;
-      const std::size_t i = level * kWheelSlots + slot;
-      if (wheel_[i].min_tick == wheel_min_tick_) {
-        target = i;
-        break;
-      }
-    }
-  }
-  CMTOS_ASSERT(target != wheel_.size(), "sched.wheel_min_bucket");
-  if (target == wheel_.size()) {
-    recompute_wheel_min();
-    return;
-  }
-  WheelBucket& b = wheel_[target];
-  wheel_scratch_.clear();
-  std::swap(wheel_scratch_, b.entries);  // swap keeps capacities circulating
-  b.min_tick = kTickNever;
-  wheel_occupied_[target / kWheelSlots] &=
-      ~(std::uint64_t{1} << (target % kWheelSlots));
-  wheel_count_ -= wheel_scratch_.size();
-
-  // Advancing the base to the drained minimum never skips another bucket:
-  // every other cached minimum is >= wheel_min_tick_ by construction.
-  wheel_base_tick_ = std::max(wheel_base_tick_, wheel_min_tick_);
-  for (const HeapEntry& e : wheel_scratch_) {
-    const Slot& s = slots_[e.slot];
-    if (!s.live || s.gen != e.gen) {
-      if (dead_entries_ > 0) --dead_entries_;
-      continue;  // cancelled while wheeled; drop here
-    }
-    // Re-route against the advanced base: tick == base goes near; a
-    // near-lap entry drops at least one level; only far-lap aliases
-    // (tick >> 6k differing by 64) re-wheel at the same level.
-    enqueue_entry(e);
-  }
-  recompute_wheel_min();
-}
-
-void NodeRuntime::recompute_wheel_min() {
-  wheel_min_tick_ = kTickNever;
-  for (std::uint32_t level = 0; level < kWheelLevels; ++level) {
-    std::uint64_t bits = wheel_occupied_[level];
-    while (bits != 0) {
-      const auto slot = static_cast<std::uint32_t>(std::countr_zero(bits));
-      bits &= bits - 1;
-      const WheelBucket& b = wheel_[level * kWheelSlots + slot];
-      if (b.min_tick < wheel_min_tick_) wheel_min_tick_ = b.min_tick;
-    }
-  }
 }
 
 void NodeRuntime::push_outbox(NodeRuntime& target, Time t, EventFn fn, bool global) {
@@ -204,9 +90,12 @@ const NodeRuntime::HeapEntry* NodeRuntime::peek(std::vector<HeapEntry>& heap) {
     if (s.live && s.gen == top.gen) return &top;
     std::pop_heap(heap.begin(), heap.end(), Later{});
     heap.pop_back();
-    // global_heap_ entries are mirrors; dead_entries_ counts each event once
-    // in its primary container (near heap, wheel bucket, or far heap).
-    if (&heap != &global_heap_ && dead_entries_ > 0) --dead_entries_;
+    // global_heap_ entries are mirrors; dead_entries_ counts the cancelled
+    // entries of heap_ only, and fired events leave none there.
+    if (&heap != &global_heap_) {
+      CMTOS_DCHECK(dead_entries_ > 0);
+      --dead_entries_;
+    }
   }
   return nullptr;
 }
@@ -217,8 +106,7 @@ Time NodeRuntime::global_head_time() {
 }
 
 void NodeRuntime::execute_head() {
-  ensure_near();
-  const HeapEntry* h = peek(heap_);
+  const HeapEntry* h = head();
   CMTOS_ASSERT(h != nullptr, "sched.empty_execute");
   if (h == nullptr) return;
   const HeapEntry e = *h;
@@ -266,8 +154,7 @@ void NodeRuntime::maybe_compact() {
   // Lazy reap: once dead entries dominate the queue, rebuild it.  Keeps
   // cancel O(1) while bounding storage at ~2x the live events, so hot
   // arm/cancel cycles (keepalive, retransmit) stop paying O(dead) churn.
-  const std::size_t total = heap_.size() + far_heap_.size() + wheel_count_;
-  if (dead_entries_ < 64 || dead_entries_ * 2 < total) return;
+  if (dead_entries_ < 64 || dead_entries_ * 2 < heap_.size()) return;
   const auto dead = [this](const HeapEntry& e) {
     const Slot& s = slots_[e.slot];
     return !s.live || s.gen != e.gen;
@@ -276,29 +163,6 @@ void NodeRuntime::maybe_compact() {
   std::make_heap(heap_.begin(), heap_.end(), Later{});
   std::erase_if(global_heap_, dead);
   std::make_heap(global_heap_.begin(), global_heap_.end(), Later{});
-  std::erase_if(far_heap_, dead);
-  std::make_heap(far_heap_.begin(), far_heap_.end(), Later{});
-  wheel_count_ = 0;
-  for (std::uint32_t level = 0; level < kWheelLevels; ++level) {
-    std::uint64_t bits = wheel_occupied_[level];
-    while (bits != 0) {
-      const auto slot = static_cast<std::uint32_t>(std::countr_zero(bits));
-      bits &= bits - 1;
-      WheelBucket& b = wheel_[level * kWheelSlots + slot];
-      std::erase_if(b.entries, dead);
-      b.min_tick = kTickNever;
-      if (b.entries.empty()) {
-        wheel_occupied_[level] &= ~(std::uint64_t{1} << slot);
-        continue;
-      }
-      for (const HeapEntry& e : b.entries) {
-        const std::int64_t tick = e.time / kWheelTick;
-        if (tick < b.min_tick) b.min_tick = tick;
-      }
-      wheel_count_ += b.entries.size();
-    }
-  }
-  recompute_wheel_min();
   dead_entries_ = 0;
 }
 

@@ -15,13 +15,12 @@
 // callback immediately and the queue lazily reaps dead heap entries, so
 // pending() counts live events exactly.
 //
-// The queue itself is a hierarchical timer wheel (4 levels x 64 buckets,
-// 1 ms granularity, ~4.6 h span) in front of a near binary heap and a far
-// overflow heap.  Arm and cancel are O(1) regardless of how many timers are
-// pending; only events about to fire pay heap discipline.  Residency (near
-// heap vs wheel bucket vs far heap) is invisible: events always fire in
-// exact (time, seq) order per shard, so --threads determinism is untouched.
-// See DESIGN.md §15 for the level math and the base-advance invariant.
+// The queue is one binary min-heap over (time, seq) per shard, plus a
+// mirror heap of the global events so the executor can find the earliest
+// global event without a scan.  Arm is O(log n); cancel is amortised O(1):
+// it leaves a dead entry that peek() or maybe_compact() reaps.  Events fire
+// in exact (time, seq) order per shard, so --threads determinism rests on
+// the comparator alone.  See DESIGN.md §15.
 //
 // Events are classified local or global:
 //   * local  — touches only this node's state.  Eligible for parallel
@@ -35,10 +34,8 @@
 
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -162,53 +159,14 @@ class NodeRuntime {
   NodeRuntime(Executor* exec, std::uint32_t shard, std::uint64_t rng_seed)
       : exec_(exec), shard_(shard), rng_(rng_seed) {}
 
-  // Hierarchical timer wheel geometry: 4 levels x 64 buckets at 1 ms tick
-  // granularity.  Level k buckets are indexed by (tick >> 6k) & 63 and span
-  // 64^k ticks each; the whole wheel covers 64^4 ticks (~4.66 h) past the
-  // base, with earlier events in the near heap and later ones in far_heap_.
-  static constexpr std::uint32_t kWheelBits = 6;
-  static constexpr std::uint32_t kWheelSlots = 1u << kWheelBits;
-  static constexpr std::uint32_t kWheelLevels = 4;
-  static constexpr std::int64_t kWheelTick = kMillisecond;
-  static constexpr std::int64_t kWheelSpan =
-      std::int64_t{1} << (kWheelBits * kWheelLevels);
-  static constexpr std::int64_t kTickNever =
-      std::numeric_limits<std::int64_t>::max();
-
-  /// One wheel bucket: unsorted entries plus a cached minimum tick.  The
-  /// cached minimum only ever under-estimates (cancelled entries may leave
-  /// it stale-low), which is safe: it is used as a conservative lower bound
-  /// on when the bucket must be drained.
-  struct WheelBucket {
-    std::vector<HeapEntry> entries;
-    std::int64_t min_tick = kTickNever;
-  };
-
   EventHandle schedule(Time t, EventFn fn, bool global);
   EventHandle insert_direct(Time t, EventFn fn, bool global);
   void push_outbox(NodeRuntime& target, Time t, EventFn fn, bool global);
 
-  /// Routes an entry to the near heap (tick <= base), a wheel bucket, or the
-  /// far heap.  Does not touch global_heap_ (that mirror is insert-only).
-  void enqueue_entry(const HeapEntry& e);
-  /// Moves entries out of the wheel/far heap into the near heap until the
-  /// near top is strictly earlier than everything still wheeled, so the near
-  /// heap top is the true (time, seq) minimum of the shard.
-  void ensure_near();
-  /// Drains the bucket holding wheel_min_tick_: advances the base to that
-  /// tick and re-routes the bucket's live entries (near heap or a lower
-  /// level; far-lap aliases re-wheel at the same level).
-  void drain_min_bucket();
-  /// Recomputes wheel_min_tick_ from the occupancy bitmasks.
-  void recompute_wheel_min();
-
   /// Top live entry of `heap`, lazily dropping dead (cancelled/fired)
   /// entries; nullptr when empty.
   const HeapEntry* peek(std::vector<HeapEntry>& heap);
-  const HeapEntry* head() {
-    ensure_near();
-    return peek(heap_);
-  }
+  const HeapEntry* head() { return peek(heap_); }
   /// Earliest live global event's time, or kTimeNever.
   Time global_head_time();
   /// Pops and runs the head event.  Precondition: head() != nullptr.
@@ -226,16 +184,9 @@ class NodeRuntime {
   std::uint64_t unique_seq_ = 0;
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoFreeSlot;
-  std::vector<HeapEntry> heap_;         // near min-heap over (time, seq)
+  std::vector<HeapEntry> heap_;         // min-heap over (time, seq)
   std::vector<HeapEntry> global_heap_;  // min-heap over global events only
-  std::vector<HeapEntry> far_heap_;     // min-heap, events past the wheel span
-  std::array<WheelBucket, kWheelLevels * kWheelSlots> wheel_;
-  std::array<std::uint64_t, kWheelLevels> wheel_occupied_{};  // bitmask/level
-  std::vector<HeapEntry> wheel_scratch_;  // drain workspace (keeps capacity)
-  std::int64_t wheel_base_tick_ = 0;   // wheel entries all have tick > base
-  std::int64_t wheel_min_tick_ = kTickNever;  // min cached bucket min
-  std::size_t wheel_count_ = 0;        // entries resident in wheel buckets
-  std::size_t dead_entries_ = 0;  // dead entries still in heap_/wheel/far
+  std::size_t dead_entries_ = 0;        // cancelled entries still in heap_
   std::atomic<std::size_t> live_{0};
   std::vector<Deferred> outbox_;
   std::string log_buf_;  // log lines parked during a parallel round

@@ -69,6 +69,7 @@ Connection::Connection(TransportEntity& entity, VcId id, VcRole role,
     }
     monitor_ = std::make_unique<QosMonitor>(id_, agreed_, request_.sample_period,
                                             counters_.qos_violation_periods);
+    monitor_->set_trace_pid(trace_pid_);
     monitor_->set_warmup_periods(1);  // pipeline fill distorts the first period
     // T-QoS.indication is generated only when the selected class of
     // service includes the indication facility (§3.4 / §4.1.2).

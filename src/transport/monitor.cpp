@@ -13,12 +13,11 @@ void QosMonitor::publish(const QosReport& rep) {
 
   auto& tr = obs::Tracer::global();
   if (!tr.enabled()) return;
-  const int pid = static_cast<int>(vc_ >> 32);       // allocating node
   const int tid = static_cast<int>(vc_ & 0xffffffffu);
-  tr.counter("qos.osdu_rate", rep.measured_osdu_rate, pid, tid);
-  tr.counter("qos.mean_delay_ms", to_millis(rep.measured_mean_delay), pid, tid);
-  tr.counter("qos.bit_error_rate", rep.measured_bit_error_rate, pid, tid);
-  if (rep.violations.any() && !rep.warmup) tr.instant("QoS.violation", pid, tid);
+  tr.counter("qos.osdu_rate", rep.measured_osdu_rate, trace_pid_, tid);
+  tr.counter("qos.mean_delay_ms", to_millis(rep.measured_mean_delay), trace_pid_, tid);
+  tr.counter("qos.bit_error_rate", rep.measured_bit_error_rate, trace_pid_, tid);
+  if (rep.violations.any() && !rep.warmup) tr.instant("QoS.violation", trace_pid_, tid);
 }
 
 void QosMonitor::on_osdu_completed(Duration end_to_end_delay) {

@@ -1,6 +1,6 @@
 // Unit and property tests for the sharded executor: merged event order,
-// exactly-once delivery, --threads determinism, and the per-event cost of
-// the shard-head index.
+// exactly-once delivery, --threads determinism, the per-event cost of the
+// shard-head index, and the per-shard footprint.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +19,7 @@ namespace {
 
 constexpr Duration kLookahead = kMillisecond;
 constexpr Duration kGrain = 250 * kMicrosecond;  // coarse times make ties common
-constexpr Duration kFarFuture = 5LL * 3600 * kSecond;  // past the 4.66 h wheel span
+constexpr Duration kFarFuture = 5LL * 3600 * kSecond;  // a long idle gap past kStop
 
 // Randomised multi-shard world with a model of every live event.  Each
 // shard starts one self-perpetuating chain; each chain event continues
@@ -311,6 +311,14 @@ TEST(ExecutorCost, SparseWorldProbesStayBoundedPerEvent) {
   const std::size_t stepped = exec.run(5000);
   EXPECT_EQ(stepped, 5000u);
   EXPECT_LE(exec.head_probes() - before, 8 * stepped);
+}
+
+// Footprint gate: a city-scale world runs one NodeRuntime per node, so the
+// shard itself stays a handful of pointers and counters.  Queue storage
+// belongs in heap vectors that grow with the events actually pending, not
+// in inline per-shard tables (a 256-bucket inline array is ~8 KiB a node).
+TEST(ExecutorCost, NodeRuntimeStaysSmall) {
+  EXPECT_LE(sizeof(NodeRuntime), 512u) << sizeof(NodeRuntime) << " B per shard";
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Observability layer tests: JSON helpers, the metrics registry, the
-// Chrome-trace tracer, the QoS monitor's BER estimator and warmup flag,
-// and an end-to-end orchestrated session traced to disk.
+// Chrome-trace tracer, the QoS monitor's BER estimator, warmup flag and
+// trace identity, and an end-to-end orchestrated session traced to disk.
 
 #include <gtest/gtest.h>
 
@@ -337,6 +337,69 @@ TEST(QosMonitorWarmup, ReportsAreFlaggedAndSuppressed) {
   EXPECT_TRUE(samples[0].violations.any());
   EXPECT_FALSE(samples[1].warmup);
   EXPECT_EQ(violations, 1);
+}
+
+// --- QoS monitor: trace identity ---
+
+// pid/tid of the first trace event named `name` (on `tid` when given), or
+// {-1, -1} when there is none.  One event per line, as Tracer::emit writes.
+std::pair<int, int> trace_ids(const std::string& text, const std::string& name, int tid = -1) {
+  std::istringstream in(text);
+  std::string line;
+  const std::string key = "{\"name\": \"" + name + "\"";
+  while (std::getline(in, line)) {
+    if (line.rfind(key, 0) != 0) continue;
+    int pid = -1, line_tid = -1;
+    if (std::sscanf(line.c_str() + line.find("\"pid\""), "\"pid\": %d, \"tid\": %d", &pid,
+                    &line_tid) != 2)
+      continue;
+    if (tid < 0 || line_tid == tid) return {pid, line_tid};
+  }
+  return {-1, -1};
+}
+
+// A remote connect allocates the VC id on the initiator, a third node; the
+// QoS tracks must still sit on the sink node, beside the VC's sink span.
+TEST(QosMonitorTrace, TracksSitOnTheSinkNodeOfARemoteConnect) {
+  auto& tr = Tracer::global();
+  const std::string path = ::testing::TempDir() + "obs_qos_pid.json";
+  ASSERT_TRUE(tr.start(path));
+  int sink_node = -1;
+  {
+    StarPlatform star(3);
+    auto& src = *star.leaves[0];
+    auto& dst = *star.leaves[1];
+    auto& ini = *star.leaves[2];
+    ScriptedUser src_user(src.entity), dst_user(dst.entity), ini_user(ini.entity);
+    src.entity.bind(10, &src_user);
+    dst.entity.bind(20, &dst_user);
+    ini.entity.bind(30, &ini_user);
+    sink_node = static_cast<int>(dst.id);
+
+    auto req = basic_request({src.id, 10}, {dst.id, 20}, 25.0, 1024);
+    req.initiator = {ini.id, 30};
+    req.sample_period = 200 * kMillisecond;
+    const transport::VcId vc = ini.entity.t_connect_request(req);
+    star.platform.run_until(300 * kMillisecond);
+    ASSERT_NE(src.entity.source(vc), nullptr);
+    ASSERT_NE(static_cast<int>(vc >> 32), sink_node);  // the allocator is not the sink
+    for (int i = 0; i < 10; ++i) {
+      (void)src.entity.source(vc)->submit(std::vector<std::uint8_t>(500, 1));
+      star.platform.run_until(star.platform.scheduler().now() + 100 * kMillisecond);
+      while (dst.entity.sink(vc) && dst.entity.sink(vc)->receive()) {
+      }
+    }
+  }
+  tr.stop();
+
+  const std::string text = slurp(path);
+  const auto [qos_pid, qos_tid] = trace_ids(text, "qos.osdu_rate");
+  ASSERT_GE(qos_pid, 0) << "no qos.osdu_rate track in the trace";
+  const auto [sink_pid, sink_tid] = trace_ids(text, "VC.sink", qos_tid);
+  ASSERT_GE(sink_pid, 0) << "no VC.sink span for tid " << qos_tid;
+  EXPECT_EQ(qos_pid, sink_pid);
+  EXPECT_EQ(qos_pid, sink_node);
+  std::remove(path.c_str());
 }
 
 // --- end-to-end: an orchestrated two-VC session traced to disk ---

@@ -19,6 +19,7 @@
 namespace cmtos::bench {
 
 inline std::atomic<std::int64_t> g_heap_allocs{0};
+inline std::atomic<std::int64_t> g_heap_alloc_bytes{0};
 
 /// Number of operator-new calls since process start.  Deterministic in a
 /// single-threaded run, so snapshot deltas are diffable across runs.
@@ -26,23 +27,42 @@ inline std::int64_t heap_allocs() {
   return g_heap_allocs.load(std::memory_order_relaxed);
 }
 
+/// Bytes requested by those calls (frees are not subtracted).
+inline std::int64_t heap_alloc_bytes() {
+  return g_heap_alloc_bytes.load(std::memory_order_relaxed);
+}
+
 }  // namespace cmtos::bench
 
 void* operator new(std::size_t n) {
   cmtos::bench::g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  cmtos::bench::g_heap_alloc_bytes.fetch_add(static_cast<std::int64_t>(n),
+                                             std::memory_order_relaxed);
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
 
 void* operator new(std::size_t n, std::align_val_t al) {
   cmtos::bench::g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  cmtos::bench::g_heap_alloc_bytes.fetch_add(static_cast<std::int64_t>(n),
+                                             std::memory_order_relaxed);
   const std::size_t a = static_cast<std::size_t>(al);
   void* p = nullptr;
   if (posix_memalign(&p, a < sizeof(void*) ? sizeof(void*) : a, n ? n : 1) == 0) return p;
   throw std::bad_alloc();
 }
 
+// The operators above allocate with malloc, so free() is the matching
+// release.  GCC cannot see that once it inlines one of these into a
+// caller, and reports the pair as mismatched.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif

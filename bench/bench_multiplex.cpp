@@ -189,6 +189,7 @@ struct PumpResult {
   std::int64_t delivered_bytes = 0;
   double wall_s = 0;
   double allocs_per_osdu = 0;
+  double allocs_per_tpdu = 0;
   bool connected = false;
 };
 
@@ -247,14 +248,20 @@ PumpResult run_dataplane_pump() {
   pump_for(kWarmup);  // fill the pipeline before the clock starts
   r.delivered = 0;
   r.delivered_bytes = 0;
+  const std::int64_t tpdus0 = source->stats().tpdus_sent;
   const std::int64_t allocs0 = heap_allocs();
   const auto wall0 = std::chrono::steady_clock::now();
   pump_for(kPlay);
   const auto wall1 = std::chrono::steady_clock::now();
   const std::int64_t allocs1 = heap_allocs();
+  const std::int64_t tpdus = source->stats().tpdus_sent - tpdus0;
   r.wall_s = std::chrono::duration<double>(wall1 - wall0).count();
   r.allocs_per_osdu = static_cast<double>(allocs1 - allocs0) /
                       static_cast<double>(std::max<std::int64_t>(1, r.delivered));
+  // Per data TPDU: one heap buffer per packet (a header that does not fit
+  // inline, a per-packet queue node) alone would put this at >= 1.
+  r.allocs_per_tpdu = static_cast<double>(allocs1 - allocs0) /
+                      static_cast<double>(std::max<std::int64_t>(1, tpdus));
   return r;
 }
 
@@ -308,17 +315,18 @@ int main(int argc, char** argv) {
         "link, wall-clock measured");
   {
     const auto pump = run_dataplane_pump();
-    row("%-22s %14s %16s %16s", "delivered OSDUs", "OSDU/wall-s", "MB/wall-s",
-        "allocs/OSDU");
+    row("%-22s %14s %16s %16s %16s", "delivered OSDUs", "OSDU/wall-s", "MB/wall-s",
+        "allocs/OSDU", "allocs/TPDU");
     const double osdus_per_s =
         static_cast<double>(pump.delivered) / std::max(1e-9, pump.wall_s);
     const double mb_per_s = static_cast<double>(pump.delivered_bytes) / 1e6 /
                             std::max(1e-9, pump.wall_s);
-    row("%-22lld %14.0f %16.1f %16.1f", static_cast<long long>(pump.delivered),
-        osdus_per_s, mb_per_s, pump.allocs_per_osdu);
+    row("%-22lld %14.0f %16.1f %16.1f %16.3f", static_cast<long long>(pump.delivered),
+        osdus_per_s, mb_per_s, pump.allocs_per_osdu, pump.allocs_per_tpdu);
     bj.set("multiplex.dataplane_osdus_per_wall_s", osdus_per_s);
     bj.set("multiplex.dataplane_mbytes_per_wall_s", mb_per_s);
     bj.set("multiplex.dataplane_allocs_per_osdu", pump.allocs_per_osdu);
+    bj.set("multiplex.dataplane_allocs_per_tpdu", pump.allocs_per_tpdu);
   }
   return 0;
 }

@@ -92,59 +92,59 @@ void Link::finish_serialising() {
   const auto band = static_cast<std::size_t>(serialising_band_);
   const auto count = static_cast<std::size_t>(serialising_count_);
   auto& q = queues_[band];
-  std::deque<Packet> committed;
-  for (std::size_t i = 0; i < count; ++i) {
-    committed.push_back(std::move(q.front()));
-    q.pop_front();
-  }
   serialising_ = false;
   serialising_band_ = -1;
   serialising_count_ = 0;
 
-  // Frames finishing serialisation on a link that went down mid-transfer
-  // are cut off: they never reach the far end.
   if (!up_) {
-    stats_.dropped_down += static_cast<std::int64_t>(committed.size());
-    if (first_nonempty_band() >= 0) start_serialising();
-    return;
-  }
-
-  // Loss and bit-error draws are per packet, in wire order, whether or not
-  // the episode was batched.
-  std::deque<Packet> survivors;
-  for (auto& p : committed) {
-    ++stats_.packets_sent;
-    stats_.bytes_sent += static_cast<std::int64_t>(p.wire_size());
-
-    // Loss decision (Bernoulli or Gilbert–Elliott burst model).
-    bool lost = false;
-    if (cfg_.burst_loss) {
-      if (ge_in_bad_state_) {
-        lost = rng_.bernoulli(cfg_.ge_loss_in_bad);
-        if (rng_.bernoulli(cfg_.ge_p_bad_to_good)) ge_in_bad_state_ = false;
-      } else {
-        if (rng_.bernoulli(cfg_.ge_p_good_to_bad)) ge_in_bad_state_ = true;
-      }
-    } else {
-      lost = rng_.bernoulli(cfg_.loss_rate);
-    }
-
-    if (lost) {
-      ++stats_.dropped_loss;
-      continue;
-    }
-    impair(p);
-    survivors.push_back(std::move(p));
-  }
-
-  if (count == 1) {
+    // Frames finishing serialisation on a link that went down mid-transfer
+    // are cut off: they never reach the far end.
+    for (std::size_t i = 0; i < count; ++i) q.pop_front();
+    stats_.dropped_down += static_cast<std::int64_t>(count);
+  } else if (count == 1) {
     // Legacy path: per-packet jitter draw, per-packet delivery event.
-    if (!survivors.empty()) propagate(std::move(survivors.front()));
-  } else if (!survivors.empty()) {
-    propagate_batch(std::move(survivors));
+    Packet p = std::move(q.front());
+    q.pop_front();
+    if (survives(p)) propagate(std::move(p));
+  } else {
+    // Loss and bit-error draws stay per packet, in wire order; survivors
+    // move straight into the one vector that rides the delivery event.
+    std::vector<Packet> batch;
+    batch.reserve(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      batch.push_back(std::move(q.front()));
+      q.pop_front();
+      if (!survives(batch.back())) batch.pop_back();
+    }
+    if (!batch.empty()) propagate_batch(std::move(batch));
   }
 
   if (first_nonempty_band() >= 0) start_serialising();
+}
+
+bool Link::survives(Packet& p) {
+  ++stats_.packets_sent;
+  stats_.bytes_sent += static_cast<std::int64_t>(p.wire_size());
+
+  // Loss decision (Bernoulli or Gilbert–Elliott burst model).
+  bool lost = false;
+  if (cfg_.burst_loss) {
+    if (ge_in_bad_state_) {
+      lost = rng_.bernoulli(cfg_.ge_loss_in_bad);
+      if (rng_.bernoulli(cfg_.ge_p_bad_to_good)) ge_in_bad_state_ = false;
+    } else {
+      if (rng_.bernoulli(cfg_.ge_p_good_to_bad)) ge_in_bad_state_ = true;
+    }
+  } else {
+    lost = rng_.bernoulli(cfg_.loss_rate);
+  }
+
+  if (lost) {
+    ++stats_.dropped_loss;
+    return false;
+  }
+  impair(p);
+  return true;
 }
 
 void Link::impair(Packet& p) {
@@ -224,10 +224,9 @@ void Link::propagate(Packet&& p) {
   const bool global = p.global_delivery && p.dst == to_;
   const Time when = from_rt_.now() + delay;
   const auto schedule = [this, global](Time at, Packet&& pkt) {
-    auto shared = std::make_shared<Packet>(std::move(pkt));
-    auto fn = [this, shared]() mutable {
-      ++shared->hops;
-      if (deliver_) deliver_(std::move(*shared));
+    auto fn = [this, box = std::make_unique<Packet>(std::move(pkt))]() mutable {
+      ++box->hops;
+      if (deliver_) deliver_(std::move(*box));
     };
     if (global) {
       (void)to_rt_.at_global(at, std::move(fn));
@@ -244,7 +243,7 @@ void Link::propagate(Packet&& p) {
   }
 }
 
-void Link::propagate_batch(std::deque<Packet>&& batch) {
+void Link::propagate_batch(std::vector<Packet>&& batch) {
   Duration delay = cfg_.propagation_delay;
   if (cfg_.jitter > 0) delay += rng_.uniform(0, cfg_.jitter);
   // Duplication inside a batch: the copy rides the same delivery event,
@@ -252,11 +251,11 @@ void Link::propagate_batch(std::deque<Packet>&& batch) {
   // batch — a batch is one serialisation episode, so its members share one
   // wire interval by construction.
   if (cfg_.dup_rate > 0) {
-    for (auto it = batch.begin(); it != batch.end(); ++it) {
+    for (std::size_t i = 0; i < batch.size(); ++i) {
       if (rng_.bernoulli(cfg_.dup_rate)) {
         ++stats_.duplicated;
-        Packet copy = *it;  // copy first: insert shifts the referenced slot
-        it = batch.insert(std::next(it), std::move(copy));
+        Packet copy = batch[i];  // copy first: insert may reallocate
+        batch.insert(batch.begin() + static_cast<std::ptrdiff_t>(++i), std::move(copy));
       }
     }
   }
@@ -265,9 +264,8 @@ void Link::propagate_batch(std::deque<Packet>&& batch) {
   // commit time (media priority, shard-local terminal delivery), so the
   // event never needs a serial round.
   const Time when = from_rt_.now() + delay;
-  auto shared = std::make_shared<std::deque<Packet>>(std::move(batch));
-  (void)to_rt_.at(when, [this, shared]() mutable {
-    for (auto& p : *shared) {
+  (void)to_rt_.at(when, [this, batch = std::move(batch)]() mutable {
+    for (auto& p : batch) {
       ++p.hops;
       if (deliver_) deliver_(std::move(p));
     }

@@ -15,12 +15,13 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <utility>
+#include <vector>
 
 #include "net/packet.h"
 #include "sim/node_runtime.h"
+#include "util/fifo.h"
 #include "util/rng.h"
 #include "util/time.h"
 
@@ -160,13 +161,17 @@ class Link {
  private:
   void start_serialising();
   void finish_serialising();
+  /// Counts a committed packet onto the wire and runs it through the loss
+  /// model and the impairments; false when the packet is lost.
+  bool survives(Packet& p);
   /// Applies the byzantine impairments to a committed packet in wire
   /// order: bit flips (bit_error_rate), then truncation (truncate_rate).
   void impair(Packet& p);
   void propagate(Packet&& p);
   /// Delivers a whole surviving media batch with one event (propagation +
   /// one jitter draw); every member is handed to deliver_ in wire order.
-  void propagate_batch(std::deque<Packet>&& batch);
+  /// The vector rides inside the delivery event to the receiving shard.
+  void propagate_batch(std::vector<Packet>&& batch);
 
   /// Highest-priority nonempty band, or -1.
   int first_nonempty_band() const;
@@ -178,7 +183,7 @@ class Link {
   NodeId from_, to_;
   DeliverFn deliver_;
   std::function<void()> retune_;
-  std::array<std::deque<Packet>, kPriorityBands> queues_;
+  std::array<Fifo<Packet>, kPriorityBands> queues_;
   bool serialising_ = false;
   int serialising_band_ = -1;   // band of the frame(s) currently on the wire
   int serialising_count_ = 0;   // committed packets in this episode (>1 only

@@ -131,10 +131,9 @@ void Network::send(Packet&& pkt) {
   sim::NodeRuntime& src_rt = nodes_.at(pkt.src)->runtime();
   const bool global = pkt.global_delivery && pkt.src == pkt.dst;
   const Time when = pkt.injected_at;
-  auto shared = std::make_shared<Packet>(std::move(pkt));
-  auto fn = [this, shared]() mutable {
-    const NodeId at = shared->src;
-    forward(std::move(*shared), at);
+  auto fn = [this, box = std::make_unique<Packet>(std::move(pkt))]() mutable {
+    const NodeId at = box->src;
+    forward(std::move(*box), at);
   };
   if (global) {
     (void)src_rt.at_global(when, std::move(fn));
@@ -174,9 +173,9 @@ void Network::send(std::vector<Packet>&& burst) {
     pkt.id = id_rt.next_node_unique_id();
   }
   sim::NodeRuntime& src_rt = nodes_.at(src)->runtime();
-  auto shared = std::make_shared<std::vector<Packet>>(std::move(burst));
-  (void)src_rt.at(when, [this, shared]() mutable {
-    for (auto& pkt : *shared) {
+  // The burst vector itself rides the injection event: no second buffer.
+  (void)src_rt.at(when, [this, burst = std::move(burst)]() mutable {
+    for (auto& pkt : burst) {
       const NodeId at = pkt.src;
       forward(std::move(pkt), at);
     }

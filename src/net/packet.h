@@ -7,10 +7,10 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "net/address.h"
 #include "util/frame_pool.h"
+#include "util/small_bytes.h"
 #include "util/time.h"
 
 namespace cmtos::net {
@@ -26,6 +26,13 @@ enum class Priority : std::uint8_t {
 };
 inline constexpr int kPriorityBands = 3;
 
+/// Inline room of a packet's wire bytes: covers the 58-byte data-TPDU
+/// header and the small data-plane PDUs (AK, FB, KA, short NAKs), so those
+/// packets carry no heap buffer.  Longer encodings (control TPDUs, OPDUs,
+/// RPC messages) spill to one exactly-sized heap buffer.
+inline constexpr std::size_t kInlineWireBytes = 64;
+using WireBytes = SmallBytes<kInlineWireBytes>;
+
 struct Packet {
   NodeId src = kInvalidNode;
   NodeId dst = kInvalidNode;
@@ -34,12 +41,13 @@ struct Packet {
   /// Wire bytes of the layer above.  An impaired link mutates these in
   /// flight (bit flips, truncation) — receivers detect damage through their
   /// own PDU checksums, never through simulation metadata.
-  std::vector<std::uint8_t> payload;
+  WireBytes payload;
   /// Zero-copy media payload body (two-world data plane): data TPDUs carry
-  /// their serialized header in `payload` and the OSDU fragment here as a
-  /// refcounted view into the source's frame, so link transit never copies
-  /// media bytes.  Control-plane packets leave this empty.  Charged to the
-  /// wire image by wire_size() exactly like inline payload bytes.
+  /// their serialized header inline in `payload` and the OSDU fragment here
+  /// as a refcounted view into the source's frame (MTL's header mbuf plus
+  /// extbuf), so link transit neither copies media bytes nor allocates.
+  /// Control-plane packets leave this empty.  Charged to the wire image by
+  /// wire_size() exactly like inline payload bytes.
   PayloadView frame;
 
   // --- simulation metadata (not part of the wire image) ---

@@ -1,5 +1,6 @@
 #include "orch/opdu.h"
 
+#include "net/packet.h"
 #include "util/byte_io.h"
 #include "util/checksum.h"
 #include "util/wire_hardening.h"
@@ -49,12 +50,12 @@ bool valid_opdu_type(std::uint8_t t) {
 
 }  // namespace
 
-std::vector<std::uint8_t> Opdu::encode() const {
+net::WireBytes Opdu::encode() const {
   // Exact encoded size, so an encode makes one allocation: the fixed fields
   // below plus the CRC trailer, and 16 bytes per VC entry.
   constexpr std::size_t kFixedBytes = 161;
   constexpr std::size_t kVcEntryBytes = 16;
-  std::vector<std::uint8_t> out;
+  net::WireBytes out;
   out.reserve(kFixedBytes + kVcEntryBytes * vcs.size());
   ByteWriter w(out);
   w.u8(wire_enum(type));

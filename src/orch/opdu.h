@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "net/address.h"
+#include "net/packet.h"
 #include "transport/service.h"
 #include "util/byte_io.h"
 #include "util/time.h"
@@ -157,7 +158,9 @@ struct Opdu {
 
   /// Encoding ends with a CRC-32 trailer (adversarial wire model: links
   /// flip real bytes, every control-plane PDU carries its own checksum).
-  std::vector<std::uint8_t> encode() const;
+  /// Sized exactly once, as the packet's own bytes (the LLO moves the
+  /// encoding straight into the packet).
+  net::WireBytes encode() const;
   /// Total over arbitrary bytes: CRC-verified, type/reason range-checked,
   /// vcs length guarded before reserve.  On refusal `fault` (when non-null)
   /// carries the taxonomy entry for wire.decode_failed{pdu,reason}.

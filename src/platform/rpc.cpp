@@ -29,8 +29,11 @@ struct RpcMsg {
   std::string op;
   std::vector<std::uint8_t> body;
 
-  std::vector<std::uint8_t> encode() const {
-    std::vector<std::uint8_t> out;
+  /// Encodes straight into packet bytes, sized once: the fixed fields,
+  /// three u32 length prefixes and the CRC trailer (30), plus the strings.
+  net::WireBytes encode() const {
+    net::WireBytes out;
+    out.reserve(30 + interface.size() + op.size() + body.size());
     ByteWriter w(out);
     w.u8(wire_enum(kind));
     w.u64(call_id);

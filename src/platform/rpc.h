@@ -109,7 +109,7 @@ class RpcRuntime {
     sim::EventHandle timeout;
     // Retry state: the encoded request is kept for retransmission.
     net::NodeId dst = net::kInvalidNode;
-    std::vector<std::uint8_t> wire;
+    net::WireBytes wire;
     Duration delay_bound = kTimeNever;
     int attempts_left = 0;
   };

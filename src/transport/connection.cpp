@@ -389,6 +389,12 @@ void Connection::pacer_tick() {
   while (sent < burst_max) {
     if (txq_.empty()) refill_txq();
     if (txq_.empty()) break;
+    // Sized to the fragments in hand, never past them: the vector rides the
+    // injection event, so it is allocated per burst (once more per OSDU
+    // refilled mid-burst), and a large pacing_burst, which the peer's
+    // CR/RCR sets, never sizes an allocation on its own.
+    if (staging != nullptr && burst.size() == burst.capacity())
+      burst.reserve(std::min<std::size_t>(burst_max, sent + txq_.size()));
     DataTpdu dt = std::move(txq_.front());
     txq_.pop_front();
     const bool retrans = (dt.flags & kDtRetransmission) != 0;

@@ -49,23 +49,25 @@ VcId ConnectionManager::t_connect_request(const ConnectRequest& req) {
     pend.req = req;
     pend.remote = true;
     pend.retries_left = ent_.config_.handshake_retries;
+    pend.rcr_wire = t.encode();
     pending_initiated_.emplace(vc, std::move(pend));
     ent_.send_tpdu(req.src.node, net::Proto::kTransportControl, t.encode());
     // Handshake TPDUs are retransmitted a few times before the connect is
     // declared unreachable (the control path has no other reliability).
-    arm_rcr_timer(vc, t.encode());
+    arm_rcr_timer(vc);
   }
   return vc;
 }
 
-void ConnectionManager::arm_rcr_timer(VcId vc, std::vector<std::uint8_t> wire) {
+void ConnectionManager::arm_rcr_timer(VcId vc) {
   if (!pending_initiated_.contains(vc)) return;
-  timers_.arm_global(TimerKind::kRcrRetransmit, vc, ent_.handshake_delay(), [this, vc, wire] {
+  timers_.arm_global(TimerKind::kRcrRetransmit, vc, ent_.handshake_delay(), [this, vc] {
     auto it = pending_initiated_.find(vc);
     if (it == pending_initiated_.end()) return;
     if (it->second.retries_left-- > 0) {
-      ent_.send_tpdu(it->second.req.src.node, net::Proto::kTransportControl, wire);
-      arm_rcr_timer(vc, wire);
+      ent_.send_tpdu(it->second.req.src.node, net::Proto::kTransportControl,
+                     it->second.rcr_wire);
+      arm_rcr_timer(vc);
       return;
     }
     const ConnectRequest req = it->second.req;

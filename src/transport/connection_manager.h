@@ -83,6 +83,7 @@ class CMTOS_SHARD_AFFINE ConnectionManager {
     ConnectRequest req;
     bool remote = false;  // true: RCR sent, waiting for RCC
     int retries_left = 3;
+    net::WireBytes rcr_wire;  // for retransmission
   };
   struct PendingSourceAccept {  // at the source: user asked (remote connect)
     ConnectRequest req;
@@ -93,7 +94,7 @@ class CMTOS_SHARD_AFFINE ConnectionManager {
     net::ReservationId reservation = net::kNoReservation;
     net::ReservationId reverse_reservation = net::kNoReservation;
     int retries_left = 3;
-    std::vector<std::uint8_t> cr_wire;  // for retransmission
+    net::WireBytes cr_wire;  // for retransmission
   };
   struct PendingDestAccept {  // at the destination: user asked
     ConnectRequest req;
@@ -111,7 +112,7 @@ class CMTOS_SHARD_AFFINE ConnectionManager {
 
   /// Self-rearming handshake retransmission timers (the control path has
   /// no other reliability; a lost CR must not strand the connect).
-  void arm_rcr_timer(VcId vc, std::vector<std::uint8_t> wire);
+  void arm_rcr_timer(VcId vc);
   void arm_cr_timer(VcId vc);
 
   /// Quarantine escalation: closes every local endpoint whose peer node is

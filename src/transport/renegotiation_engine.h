@@ -61,7 +61,7 @@ class CMTOS_SHARD_AFFINE RenegotiationEngine {
     std::int64_t old_bps = 0;
     bool at_source = false;
     bool raised = false;  // reservation pre-raised, roll back on reject
-    std::vector<std::uint8_t> rn_wire;  // for retransmission
+    net::WireBytes rn_wire;  // for retransmission
     net::NodeId peer = net::kInvalidNode;
     int retries_left = 3;
   };

@@ -7,6 +7,8 @@
 namespace cmtos::transport {
 namespace {
 
+using WireWriter = ByteWriter<net::WireBytes>;
+
 void set_fault(WireFault* fault, WireFault f) {
   if (fault != nullptr) *fault = f;
 }
@@ -23,7 +25,7 @@ std::optional<std::span<const std::uint8_t>> checked_body(
   return body;
 }
 
-void write_address(ByteWriter& w, const net::NetAddress& a) {
+void write_address(WireWriter& w, const net::NetAddress& a) {
   w.u32(a.node);
   w.u16(a.tsap);
 }
@@ -35,7 +37,7 @@ net::NetAddress read_address(ByteReader& r) {
   return a;
 }
 
-void write_qos_params(ByteWriter& w, const QosParams& p) {
+void write_qos_params(WireWriter& w, const QosParams& p) {
   w.f64(p.osdu_rate);
   w.i64(p.max_osdu_bytes);
   w.i64(p.end_to_end_delay);
@@ -55,7 +57,7 @@ QosParams read_qos_params(ByteReader& r) {
   return p;
 }
 
-void write_report(ByteWriter& w, const QosReport& rep) {
+void write_report(WireWriter& w, const QosReport& rep) {
   w.u64(rep.vc);
   w.i64(rep.sample_period);
   write_qos_params(w, rep.agreed);
@@ -104,8 +106,8 @@ constexpr std::size_t kControlBytes = 29 + 3 * 48 + 18 + 113 + 4;
 
 }  // namespace
 
-std::vector<std::uint8_t> ControlTpdu::encode() const {
-  std::vector<std::uint8_t> out;
+net::WireBytes ControlTpdu::encode() const {
+  net::WireBytes out;
   out.reserve(kControlBytes);
   ByteWriter w(out);
   w.u8(wire_enum(type));
@@ -182,8 +184,16 @@ std::optional<ControlTpdu> ControlTpdu::decode(std::span<const std::uint8_t> wir
 
 namespace {
 
+// DataTpdu header fields (46 bytes), shared by both encodings.  The packet
+// image adds the payload length, the frame-body CRC and the header CRC:
+// 58 bytes, which must fit a packet's inline wire bytes.
+constexpr std::size_t kDtFieldBytes = 46;
+constexpr std::size_t kDtPacketHeaderBytes = kDtFieldBytes + 3 * 4;
+static_assert(kDtPacketHeaderBytes <= net::kInlineWireBytes,
+              "a data TPDU header must not allocate");
+
 // Header layout shared by the flat and split DataTpdu encodings.
-void write_dt_header(ByteWriter& w, const DataTpdu& t) {
+void write_dt_header(WireWriter& w, const DataTpdu& t) {
   w.u8(wire_enum(TpduType::kDT));
   w.u64(t.vc);
   w.u32(t.tpdu_seq);
@@ -212,8 +222,9 @@ bool read_dt_header(ByteReader& r, DataTpdu& t) {
 
 }  // namespace
 
-std::vector<std::uint8_t> DataTpdu::encode() const {
-  std::vector<std::uint8_t> out;
+net::WireBytes DataTpdu::encode() const {
+  net::WireBytes out;
+  out.reserve(kDtFieldBytes + 4 + payload.size() + 4);  // length prefix, CRC trailer
   ByteWriter w(out);
   write_dt_header(w, *this);
   w.blob(payload);
@@ -243,7 +254,7 @@ std::optional<DataTpdu> DataTpdu::decode(std::span<const std::uint8_t> wire,
 
 void DataTpdu::encode_onto(net::Packet& pkt) const {
   pkt.payload.clear();
-  ByteWriter w(pkt.payload);
+  ByteWriter w(pkt.payload);  // the header fits the packet's inline room
   write_dt_header(w, *this);
   // Payload length and the frame-body CRC ride in the header; the bytes
   // themselves ride as a refcounted view.  The trailing CRC covers the
@@ -303,8 +314,8 @@ std::optional<DataTpdu> DataTpdu::decode_packet(const net::Packet& pkt,
   }
 }
 
-std::vector<std::uint8_t> AckTpdu::encode() const {
-  std::vector<std::uint8_t> out;
+net::WireBytes AckTpdu::encode() const {
+  net::WireBytes out;
   out.reserve(21);  // incl. CRC trailer
   ByteWriter w(out);
   w.u8(wire_enum(TpduType::kAK));
@@ -337,8 +348,8 @@ std::optional<AckTpdu> AckTpdu::decode(std::span<const std::uint8_t> wire,
   }
 }
 
-std::vector<std::uint8_t> NakTpdu::encode() const {
-  std::vector<std::uint8_t> out;
+net::WireBytes NakTpdu::encode() const {
+  net::WireBytes out;
   out.reserve(17 + 4 * missing.size());  // incl. CRC trailer
   ByteWriter w(out);
   w.u8(wire_enum(TpduType::kNAK));
@@ -378,8 +389,8 @@ std::optional<NakTpdu> NakTpdu::decode(std::span<const std::uint8_t> wire,
   }
 }
 
-std::vector<std::uint8_t> FeedbackTpdu::encode() const {
-  std::vector<std::uint8_t> out;
+net::WireBytes FeedbackTpdu::encode() const {
+  net::WireBytes out;
   out.reserve(26);  // incl. CRC trailer
   ByteWriter w(out);
   w.u8(wire_enum(TpduType::kFB));
@@ -416,8 +427,8 @@ std::optional<FeedbackTpdu> FeedbackTpdu::decode(std::span<const std::uint8_t> w
   }
 }
 
-std::vector<std::uint8_t> KeepaliveTpdu::encode() const {
-  std::vector<std::uint8_t> out;
+net::WireBytes KeepaliveTpdu::encode() const {
+  net::WireBytes out;
   out.reserve(13);  // incl. CRC trailer
   ByteWriter w(out);
   w.u8(wire_enum(TpduType::kKA));
@@ -446,8 +457,8 @@ std::optional<KeepaliveTpdu> KeepaliveTpdu::decode(std::span<const std::uint8_t>
   }
 }
 
-std::vector<std::uint8_t> DatagramTpdu::encode() const {
-  std::vector<std::uint8_t> out;
+net::WireBytes DatagramTpdu::encode() const {
+  net::WireBytes out;
   out.reserve(25 + payload.size());  // incl. CRC trailer
   ByteWriter w(out);
   w.u8(wire_enum(TpduType::kDG));

@@ -60,6 +60,10 @@ enum class TpduType : std::uint8_t {
   kKA = 21,   // keepalive (per-VC liveness probe on the internal control VC)
 };
 
+// Encoders size their output once and return net::WireBytes, which the
+// send path moves straight into a packet: an encoding within
+// net::kInlineWireBytes costs no heap allocation, a longer one exactly one.
+
 /// Connection-management TPDU.  One struct covers CR/CC/DR/DC/RCR/RCC/RDR/
 /// RN/RNC/QI; unused fields are ignored for a given type.
 struct ControlTpdu {
@@ -82,7 +86,7 @@ struct ControlTpdu {
 
   /// Encoding ends with a CRC-32 trailer: links flip real wire bytes now,
   /// so every control-plane PDU carries its own checksum.
-  std::vector<std::uint8_t> encode() const;
+  net::WireBytes encode() const;
   /// Total over arbitrary bytes: verifies the CRC trailer, range-checks
   /// every enum field, and never reads past the span.  On refusal, `fault`
   /// (when non-null) carries the taxonomy entry for the receive path's
@@ -118,7 +122,7 @@ struct DataTpdu {
   /// Encodes the whole TPDU into one flat byte string with a trailing
   /// CRC-32 (legacy/diagnostic wire image; the packet path below keeps
   /// header and payload separate).
-  std::vector<std::uint8_t> encode() const;
+  net::WireBytes encode() const;
 
   /// Decodes the flat wire image and verifies the CRC; nullopt on checksum
   /// failure or malformed input.  Total over arbitrary bytes.
@@ -146,7 +150,7 @@ struct AckTpdu {
   std::uint32_t cumulative_ack = 0;  // all TPDUs with seq < this received
   std::uint32_t window = 0;          // receiver-granted credit in TPDUs
 
-  std::vector<std::uint8_t> encode() const;
+  net::WireBytes encode() const;
   static std::optional<AckTpdu> decode(std::span<const std::uint8_t> wire,
                                        WireFault* fault = nullptr);
 };
@@ -156,7 +160,7 @@ struct NakTpdu {
   VcId vc = kInvalidVc;
   std::vector<std::uint32_t> missing;  // TPDU seqs to retransmit
 
-  std::vector<std::uint8_t> encode() const;
+  net::WireBytes encode() const;
   static std::optional<NakTpdu> decode(std::span<const std::uint8_t> wire,
                                        WireFault* fault = nullptr);
 };
@@ -172,7 +176,7 @@ struct FeedbackTpdu {
   std::uint8_t paused = 0;           // 1 = source must stop sending
 
   friend bool operator==(const FeedbackTpdu&, const FeedbackTpdu&) = default;
-  std::vector<std::uint8_t> encode() const;
+  net::WireBytes encode() const;
   static std::optional<FeedbackTpdu> decode(std::span<const std::uint8_t> wire,
                                             WireFault* fault = nullptr);
 };
@@ -184,7 +188,7 @@ struct FeedbackTpdu {
 struct KeepaliveTpdu {
   VcId vc = kInvalidVc;
 
-  std::vector<std::uint8_t> encode() const;
+  net::WireBytes encode() const;
   static std::optional<KeepaliveTpdu> decode(std::span<const std::uint8_t> wire,
                                              WireFault* fault = nullptr);
 };
@@ -196,7 +200,7 @@ struct DatagramTpdu {
   net::Tsap dst_tsap = 0;     // destination TSAP (node from the packet)
   std::vector<std::uint8_t> payload;
 
-  std::vector<std::uint8_t> encode() const;
+  net::WireBytes encode() const;
   static std::optional<DatagramTpdu> decode(std::span<const std::uint8_t> wire,
                                             WireFault* fault = nullptr);
 };

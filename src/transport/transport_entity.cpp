@@ -84,7 +84,7 @@ Duration TransportEntity::handshake_delay() {
 }
 
 void TransportEntity::send_tpdu(net::NodeId dst, net::Proto proto,
-                                std::vector<std::uint8_t> payload, net::Priority priority) {
+                                net::WireBytes payload, net::Priority priority) {
   net::Packet pkt;
   pkt.src = node_;
   pkt.dst = dst;

@@ -162,7 +162,7 @@ class CMTOS_SHARD_AFFINE TransportEntity {
   /// Control TPDUs are marked for *global* delivery: their handlers touch
   /// shared state (reservations, facade users), so the executor serialises
   /// the rounds they complete in.
-  void send_tpdu(net::NodeId dst, net::Proto proto, std::vector<std::uint8_t> payload,
+  void send_tpdu(net::NodeId dst, net::Proto proto, net::WireBytes payload,
                  net::Priority priority = net::Priority::kControl);
 
   /// Sends a data TPDU on the zero-copy path: the header is serialized

@@ -43,10 +43,13 @@ constexpr std::uint8_t wire_enum(E e) {
   return narrow<std::uint8_t>(static_cast<std::underlying_type_t<E>>(e));
 }
 
-/// Append-only byte writer.
+/// Append-only byte writer over a byte container: the net::WireBytes every
+/// PDU encoder writes (straight into packet bytes), or a std::vector for an
+/// RPC body.
+template <typename Out>
 class ByteWriter {
  public:
-  explicit ByteWriter(std::vector<std::uint8_t>& out) : out_(out) {}
+  explicit ByteWriter(Out& out) : out_(out) {}
 
   void u8(std::uint8_t v) { out_.push_back(v); }
   void u16(std::uint16_t v) { raw(&v, 2); }
@@ -58,9 +61,7 @@ class ByteWriter {
     std::memcpy(&bits, &v, 8);
     u64(bits);
   }
-  void bytes(std::span<const std::uint8_t> b) {
-    out_.insert(out_.end(), b.begin(), b.end());
-  }
+  void bytes(std::span<const std::uint8_t> b) { put(b.data(), b.size()); }
   /// Length-prefixed (u32) byte string.
   void blob(std::span<const std::uint8_t> b) {
     u32(narrow<std::uint32_t>(b.size()));
@@ -75,10 +76,19 @@ class ByteWriter {
     // Encode little-endian explicitly.
     std::uint64_t v = 0;
     std::memcpy(&v, p, n);
+    std::uint8_t le[8];
     // Byte extraction, truncation intended.  cmtos-lint: allow(narrowing-in-codec)
-    for (std::size_t i = 0; i < n; ++i) out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    for (std::size_t i = 0; i < n; ++i) le[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    put(le, n);
   }
-  std::vector<std::uint8_t>& out_;
+  void put(const std::uint8_t* p, std::size_t n) {
+    if constexpr (requires { out_.append(p, n); }) {
+      out_.append(p, n);
+    } else {
+      out_.insert(out_.end(), p, p + n);
+    }
+  }
+  Out& out_;
 };
 
 /// Thrown by ByteReader on truncated or malformed input.

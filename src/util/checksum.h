@@ -20,7 +20,9 @@ std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t seed = 0);
 /// Appends the CRC-32 of the current contents of `wire` as a little-endian
 /// trailer.  Every control-plane PDU encoding (control TPDUs, OPDUs, RPC
 /// messages) ends with this trailer now that links flip real wire bytes.
-inline void append_crc32(std::vector<std::uint8_t>& wire) {
+/// `Bytes` is a PDU's net::WireBytes or a plain std::vector.
+template <typename Bytes>
+void append_crc32(Bytes& wire) {
   const std::uint32_t c = crc32(wire);
   for (int i = 0; i < 4; ++i) wire.push_back(static_cast<std::uint8_t>(c >> (8 * i)));
 }

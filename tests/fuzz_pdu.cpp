@@ -54,6 +54,9 @@ using cmtos::transport::TpduType;
 
 using Bytes = std::vector<std::uint8_t>;
 
+// The mutators edit a vector copy of an encoding.
+Bytes bytes_of(const cmtos::net::WireBytes& wire) { return {wire.begin(), wire.end()}; }
+
 // ====================================================================
 // Seed generators: valid encodings with randomized field values.
 // ====================================================================
@@ -75,7 +78,7 @@ Bytes gen_control(Rng& rng) {
   t.pacing_burst = static_cast<std::uint16_t>(rng.uniform(1, 64));
   t.reason = static_cast<std::uint8_t>(rng.uniform(0, 11));
   t.accepted = static_cast<std::uint8_t>(rng.uniform(0, 1));
-  return t.encode();
+  return bytes_of(t.encode());
 }
 
 Bytes gen_data(Rng& rng) {
@@ -91,7 +94,7 @@ Bytes gen_data(Rng& rng) {
   Bytes payload(static_cast<std::size_t>(rng.uniform(0, 64)));
   for (auto& b : payload) b = static_cast<std::uint8_t>(rng.next_u64());
   t.payload = cmtos::PayloadView::adopt(std::move(payload));
-  return t.encode();
+  return bytes_of(t.encode());
 }
 
 Bytes gen_ack(Rng& rng) {
@@ -99,7 +102,7 @@ Bytes gen_ack(Rng& rng) {
   t.vc = static_cast<std::uint32_t>(rng.next_u64());
   t.cumulative_ack = static_cast<std::uint32_t>(rng.next_u64());
   t.window = static_cast<std::uint32_t>(rng.uniform(0, 4096));
-  return t.encode();
+  return bytes_of(t.encode());
 }
 
 Bytes gen_nak(Rng& rng) {
@@ -108,7 +111,7 @@ Bytes gen_nak(Rng& rng) {
   const auto n = static_cast<std::size_t>(rng.uniform(0, 32));
   for (std::size_t i = 0; i < n; ++i)
     t.missing.push_back(static_cast<std::uint32_t>(rng.next_u64()));
-  return t.encode();
+  return bytes_of(t.encode());
 }
 
 Bytes gen_fb(Rng& rng) {
@@ -118,13 +121,13 @@ Bytes gen_fb(Rng& rng) {
   t.capacity = static_cast<std::uint32_t>(rng.uniform(0, 4096));
   t.highest_osdu = static_cast<std::uint32_t>(rng.next_u64());
   t.paused = static_cast<std::uint8_t>(rng.uniform(0, 1));
-  return t.encode();
+  return bytes_of(t.encode());
 }
 
 Bytes gen_ka(Rng& rng) {
   KeepaliveTpdu t;
   t.vc = static_cast<std::uint32_t>(rng.next_u64());
-  return t.encode();
+  return bytes_of(t.encode());
 }
 
 Bytes gen_dg(Rng& rng) {
@@ -134,7 +137,7 @@ Bytes gen_dg(Rng& rng) {
   t.dst_tsap = static_cast<std::uint16_t>(rng.uniform(0, 999));
   t.payload.resize(static_cast<std::size_t>(rng.uniform(0, 64)));
   for (auto& b : t.payload) b = static_cast<std::uint8_t>(rng.next_u64());
-  return t.encode();
+  return bytes_of(t.encode());
 }
 
 Bytes gen_opdu(Rng& rng) {
@@ -172,7 +175,7 @@ Bytes gen_opdu(Rng& rng) {
   o.t_origin = rng.uniform(0, 1'000'000'000);
   o.t_peer = rng.uniform(0, 1'000'000'000);
   o.probe_id = static_cast<std::uint32_t>(rng.next_u64());
-  return o.encode();
+  return bytes_of(o.encode());
 }
 
 // ====================================================================
@@ -186,7 +189,7 @@ bool fixpoint(std::span<const std::uint8_t> wire, const char* family) {
   WireFault fault = WireFault::kNone;
   auto d1 = Pdu::decode(wire, &fault);
   if (!d1) return true;  // refusal is always acceptable
-  const Bytes e1 = d1->encode();
+  const auto e1 = d1->encode();
   auto d2 = Pdu::decode(e1, &fault);
   if (!d2) {
     std::fprintf(stderr, "FUZZ VIOLATION [%s]: re-decode of accepted input failed (%s)\n",
@@ -331,7 +334,7 @@ bool fuzz_packet_path(Rng& rng) {
   auto d = DataTpdu::decode_packet(pkt, &fault);
   if (!d) return true;
   // Accepted: fields must survive a flat-encode round trip.
-  const Bytes e1 = d->encode();
+  const auto e1 = d->encode();
   auto d2 = DataTpdu::decode(e1);
   if (!d2 || d2->encode() != e1) {
     std::fprintf(stderr, "FUZZ VIOLATION [data_tpdu/packet]: fixpoint broken\n");

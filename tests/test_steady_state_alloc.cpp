@@ -9,6 +9,11 @@
 // per-fragment copy or per-packet buffer shows up here as a step in the
 // allocs-per-OSDU curve long before it shows up in a wall-clock bench.
 //
+// The absolute ceiling pins the level as well: a data TPDU carries its
+// header inline (net::WireBytes) and its body as a frame view, and the
+// link and source queues keep their capacity, so a 64 KiB OSDU (47 TPDUs)
+// costs a handful of allocations, not one or more per TPDU.
+//
 // This file replaces global operator new (alloc_hooks.h), so it must stay
 // a single-TU binary of its own.
 
@@ -17,9 +22,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "fixtures.h"
 #include "media/content.h"
+#include "net/network.h"
+#include "sim/scheduler.h"
+#include "transport/tpdu.h"
 #include "util/frame_pool.h"
 
 namespace cmtos::test {
@@ -107,6 +116,135 @@ TEST(SteadyStateAlloc, MediaPathAllocationsFlatAfterWarmup) {
     EXPECT_LE(std::abs(apo - base), 0.10 * base + 8.0)
         << "allocs/OSDU drifted: window 0 = " << base << ", window " << i << " = " << apo;
   }
+  // Absolute ceiling: 47 TPDUs per OSDU, so one heap buffer per packet
+  // alone would cost ~47 allocs/OSDU.
+  for (int i = 0; i < kWindows; ++i) {
+    EXPECT_LE(win[i].allocs_per_osdu(), 20.0)
+        << "window " << i << ": " << win[i].allocs_per_osdu() << " allocs/OSDU";
+  }
+}
+
+// pacing_burst is a u16 the peer's CR/RCR carries, so it must not size an
+// allocation by itself: the pacer's burst vector is sized to the fragments
+// in hand.  At the largest pacing_burst, with one-fragment OSDUs, the heap
+// bytes requested per delivered OSDU stay small; reserving the full burst
+// per pacer tick would request ~8.9 MB (65,535 packets) per tick.
+TEST(SteadyStateAlloc, LargePacingBurstAllocatesOnlyWhatItSends) {
+  PairPlatform w(lan_link(), 41);
+  ScriptedUser src_user(w.a->entity), dst_user(w.b->entity);
+  w.a->entity.bind(1, &src_user);
+  w.b->entity.bind(2, &dst_user);
+
+  constexpr std::size_t kOsduBytes = 512;
+  auto req = basic_request({w.a->id, 1}, {w.b->id, 2}, 200.0,
+                           static_cast<std::int64_t>(kOsduBytes));
+  req.service_class.profile = transport::ProtocolProfile::kRateBasedCm;
+  req.service_class.error_control = transport::ErrorControl::kIndicate;
+  req.buffer_osdus = 16;
+  req.pacing_burst = 0xffff;
+  const auto vc = w.a->entity.t_connect_request(req);
+  w.platform.run_until(500 * kMillisecond);
+  auto* source = w.a->entity.source(vc);
+  auto* sink = w.b->entity.sink(vc);
+  ASSERT_NE(source, nullptr);
+  ASSERT_NE(sink, nullptr);
+  ASSERT_EQ(source->request().pacing_burst, 0xffff);
+
+  const auto frame = media::make_frame_view(1, 0, kOsduBytes);
+  auto pump_for = [&](Duration dur) {
+    std::int64_t delivered = 0;
+    const Time until = w.platform.scheduler().now() + dur;
+    while (w.platform.scheduler().now() < until) {
+      while (source->submit(frame)) {
+      }
+      w.platform.run_until(w.platform.scheduler().now() + 20 * kMillisecond);
+      while (auto o = sink->receive()) {
+        (void)o;
+        ++delivered;
+      }
+    }
+    return delivered;
+  };
+
+  (void)pump_for(1 * kSecond);  // warm-up
+  const std::int64_t bytes0 = bench::heap_alloc_bytes();
+  const std::int64_t delivered = pump_for(2 * kSecond);
+  const std::int64_t bytes = bench::heap_alloc_bytes() - bytes0;
+  ASSERT_GT(delivered, 100);
+  EXPECT_LE(bytes / delivered, 4096)
+      << bytes << " heap bytes requested for " << delivered << " OSDUs";
+}
+
+// The data-TPDU wire path on its own: DataTpdu::encode_onto -> burst
+// injection -> batching link -> DataTpdu::decode_packet at the far node.
+// After warm-up no TPDU allocates: the header is inline in the packet, the
+// fragment is a view of a frame allocated once, and the queues and event
+// slots keep their capacity.  What remains is per burst, not per TPDU:
+// the burst vector that rides the injection event, and the buffers that
+// carry the burst to the receiving shard.  The burst's first TPDU finds
+// the link idle and is serialised alone (its delivery event boxes it);
+// the rest queue behind it and go as one batch, in one vector.  So a
+// burst of 32 TPDUs allocates exactly what a burst of 16 does.
+TEST(SteadyStateAlloc, DataTpduRoundTripAllocatesNothingPerTpdu) {
+  constexpr std::size_t kBurst = 32;
+  sim::Scheduler sched;
+  net::Network network(sched, Rng(7));
+  net::LinkConfig link;
+  link.bandwidth_bps = 1'000'000'000;
+  link.propagation_delay = 1 * kMillisecond;
+  link.media_batch_max = kBurst;
+  const net::NodeId a = network.add_node("a");
+  const net::NodeId b = network.add_node("b");
+  network.add_link(a, b, link);
+  network.finalize_routes();
+
+  std::int64_t decoded = 0;
+  std::int64_t refused = 0;
+  network.node(b).set_handler(net::Proto::kTransportData, [&](net::Packet&& pkt) {
+    if (transport::DataTpdu::decode_packet(pkt).has_value()) {
+      ++decoded;
+    } else {
+      ++refused;
+    }
+  });
+
+  const PayloadView frame = PayloadView::adopt(std::vector<std::uint8_t>(
+      transport::kMaxTpduPayload * kBurst, 0x5a));
+  std::uint32_t seq = 0;
+  // One burst of `n` TPDUs, run to delivery; returns its heap allocations.
+  const auto round_trip = [&](std::size_t n) {
+    const std::int64_t heap0 = bench::heap_allocs();
+    std::vector<net::Packet> burst;
+    burst.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      transport::DataTpdu dt;
+      dt.vc = 1;
+      dt.tpdu_seq = seq++;
+      dt.frag_index = static_cast<std::uint16_t>(i);
+      dt.frag_count = static_cast<std::uint16_t>(n);
+      dt.payload = frame.subview(i * transport::kMaxTpduPayload, transport::kMaxTpduPayload);
+      net::Packet pkt;
+      pkt.src = a;
+      pkt.dst = b;
+      pkt.proto = net::Proto::kTransportData;
+      pkt.priority = net::Priority::kMedia;
+      dt.encode_onto(pkt);
+      burst.push_back(std::move(pkt));
+    }
+    network.send(std::move(burst));
+    sched.run_until(sched.now() + 10 * kMillisecond);
+    return bench::heap_allocs() - heap0;
+  };
+
+  for (int i = 0; i < 8; ++i) (void)round_trip(kBurst);  // warm-up
+  const std::int64_t decoded0 = decoded;
+  const std::int64_t full = round_trip(kBurst);
+  const std::int64_t half = round_trip(kBurst / 2);
+  EXPECT_EQ(decoded - decoded0, static_cast<std::int64_t>(kBurst + kBurst / 2));
+  EXPECT_EQ(refused, 0);
+  EXPECT_EQ(full, half) << "a burst of " << kBurst << " TPDUs made " << full
+                        << " heap allocations, a burst of " << kBurst / 2 << " made " << half;
+  EXPECT_LE(full, 3) << "allocations beyond the burst vector, head box and batch vector";
 }
 
 }  // namespace

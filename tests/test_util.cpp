@@ -3,10 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <span>
+#include <string>
+#include <vector>
+
 #include "util/byte_io.h"
 #include "util/checksum.h"
+#include "util/fifo.h"
 #include "util/ring_buffer.h"
 #include "util/rng.h"
+#include "util/small_bytes.h"
 #include "util/stats.h"
 #include "util/time.h"
 
@@ -248,6 +256,97 @@ TEST(ByteIo, LittleEndianOnWire) {
   ASSERT_EQ(buf.size(), 4u);
   EXPECT_EQ(buf[0], 0x44);
   EXPECT_EQ(buf[3], 0x11);
+}
+
+// The same writer encodes into inline packet bytes: identical bytes, and
+// the string stays inline until it outgrows N, then spills once.
+TEST(ByteIo, WriterOverSmallBytesMatchesVector) {
+  std::vector<std::uint8_t> flat;
+  SmallBytes<16> small;
+  ByteWriter wf(flat);
+  ByteWriter ws(small);
+  wf.u64(0x0123456789abcdefull);
+  ws.u64(0x0123456789abcdefull);
+  EXPECT_EQ(small.capacity(), 16u);
+  wf.u32(7);
+  ws.u32(7);
+  wf.str("spills past sixteen");
+  ws.str("spills past sixteen");
+  EXPECT_GT(small.capacity(), 16u);
+  EXPECT_TRUE(std::equal(small.begin(), small.end(), flat.begin(), flat.end()));
+}
+
+TEST(SmallBytes, InlineThenHeapCopyMoveResize) {
+  SmallBytes<16> a{1, 2, 3};
+  ASSERT_EQ(a.size(), 3u);
+  EXPECT_EQ(a.capacity(), 16u);
+  SmallBytes<16> b = a;             // inline copy
+  SmallBytes<16> c = std::move(b);  // inline move leaves the source empty
+  EXPECT_TRUE(b.empty());
+  EXPECT_EQ(c, a);
+  a.resize(40);  // spills: zero-extended
+  EXPECT_GE(a.capacity(), 40u);
+  EXPECT_EQ(a[2], 3);
+  EXPECT_EQ(a[39], 0);
+  const std::uint8_t* heap = a.data();
+  SmallBytes<16> d = std::move(a);  // heap move steals the buffer
+  EXPECT_EQ(d.data(), heap);
+  EXPECT_TRUE(a.empty());
+  EXPECT_EQ(a.capacity(), 16u);
+  a = d;  // heap copy
+  EXPECT_EQ(a, d);
+  a.resize(2);  // truncation keeps the capacity
+  EXPECT_EQ(a.size(), 2u);
+  EXPECT_GE(a.capacity(), 40u);
+  a.assign(5, 0xee);
+  EXPECT_EQ(a.size(), 5u);
+  EXPECT_EQ(a[4], 0xee);
+  SmallBytes<16> e;
+  e.reserve(100);  // exact reserve: one buffer of exactly 100
+  EXPECT_EQ(e.capacity(), 100u);
+  const std::span<const std::uint8_t> view(d);
+  EXPECT_EQ(view.size(), 40u);
+}
+
+TEST(Fifo, BothEndsAcrossGrowthAndWrap) {
+  Fifo<int> q;
+  EXPECT_EQ(q.capacity(), 0u);  // nothing allocated until the first push
+  int next_in = 0;
+  int next_out = 0;
+  for (int round = 0; round < 50; ++round) {
+    for (int i = 0; i < 3 + round % 5; ++i) q.push_back(int{next_in++});
+    while (q.size() > 2) {
+      EXPECT_EQ(q.front(), next_out++);
+      q.pop_front();
+    }
+  }
+  const std::size_t cap = q.capacity();
+  EXPECT_EQ(cap & (cap - 1), 0u);
+  EXPECT_EQ(q[0], next_out);
+  EXPECT_EQ(q[q.size() - 1], next_in - 1);
+  q.push_front(-1);
+  EXPECT_EQ(q.front(), -1);
+  q.pop_back();
+  EXPECT_EQ(q[q.size() - 1], next_in - 2);
+  q.clear();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.capacity(), cap);  // clear keeps the capacity
+}
+
+TEST(Fifo, PopAndClearReleaseElements) {
+  auto token = std::make_shared<std::string>("frame");
+  {
+    Fifo<std::shared_ptr<std::string>> q;
+    for (int i = 0; i < 10; ++i) q.push_back(std::shared_ptr<std::string>(token));
+    EXPECT_EQ(token.use_count(), 11);
+    q.pop_front();
+    q.pop_back();
+    EXPECT_EQ(token.use_count(), 9);
+    q.clear();
+    EXPECT_EQ(token.use_count(), 1);
+    q.push_back(std::shared_ptr<std::string>(token));
+  }
+  EXPECT_EQ(token.use_count(), 1);  // the destructor releases the rest
 }
 
 }  // namespace

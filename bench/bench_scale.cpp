@@ -19,15 +19,12 @@
 // Headline gauges (--json, committed as BENCH_scale.json): see the b.set
 // calls; CI diffs scale.per_vc_heap_bytes against the committed baseline.
 
+#include "alloc_hooks.h"
 #include "common.h"
 
-#include <malloc.h>
-
-#include <atomic>
 #include <chrono>
 #include <deque>
 #include <map>
-#include <new>
 #include <unordered_map>
 
 #include "orch/federation.h"
@@ -36,58 +33,6 @@
 #if defined(__x86_64__)
 #include <x86intrin.h>
 #endif
-
-namespace cmtos::bench {
-
-// --- allocation accounting (allocs + net live bytes) -------------------
-// Like alloc_hooks.h but also tracks net heap bytes via malloc_usable_size,
-// so the macrobench can report per-VC memory.  Single-TU binary: replacing
-// the global allocation functions here is ODR-safe.
-
-inline std::atomic<std::int64_t> g_allocs{0};
-inline std::atomic<std::int64_t> g_net_bytes{0};
-
-inline std::int64_t heap_allocs() { return g_allocs.load(std::memory_order_relaxed); }
-inline std::int64_t heap_bytes() { return g_net_bytes.load(std::memory_order_relaxed); }
-
-}  // namespace cmtos::bench
-
-void* operator new(std::size_t n) {
-  if (void* p = std::malloc(n ? n : 1)) {
-    cmtos::bench::g_allocs.fetch_add(1, std::memory_order_relaxed);
-    cmtos::bench::g_net_bytes.fetch_add(
-        static_cast<std::int64_t>(malloc_usable_size(p)), std::memory_order_relaxed);
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void* operator new(std::size_t n, std::align_val_t al) {
-  const std::size_t a = static_cast<std::size_t>(al);
-  void* p = nullptr;
-  if (posix_memalign(&p, a < sizeof(void*) ? sizeof(void*) : a, n ? n : 1) == 0) {
-    cmtos::bench::g_allocs.fetch_add(1, std::memory_order_relaxed);
-    cmtos::bench::g_net_bytes.fetch_add(
-        static_cast<std::int64_t>(malloc_usable_size(p)), std::memory_order_relaxed);
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-// Kept out of line: GCC 12's -Wmismatched-new-delete otherwise traces a
-// std::allocator pointer from operator new through the inlined delete into
-// this free() and flags the (intended) malloc/free pairing.
-[[gnu::noinline]] static void counted_free(void* p) noexcept {
-  if (p == nullptr) return;
-  cmtos::bench::g_net_bytes.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)),
-                                      std::memory_order_relaxed);
-  std::free(p);
-}
-
-void operator delete(void* p) noexcept { counted_free(p); }
-void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { counted_free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { counted_free(p); }
 
 namespace cmtos::bench {
 namespace {
@@ -348,9 +293,9 @@ ChurnResult run_churn(std::size_t pairs, std::size_t vcs_per_pair, bool with_pum
   ChurnResult r;
   ChurnWorld w(pairs, vcs_per_pair, 20260807);
 
-  const std::int64_t bytes0 = heap_bytes();
+  const std::int64_t bytes0 = heap_live_bytes();
   r.vcs_connected = w.ramp();
-  r.per_vc_heap_bytes = static_cast<double>(heap_bytes() - bytes0) /
+  r.per_vc_heap_bytes = static_cast<double>(heap_live_bytes() - bytes0) /
                         static_cast<double>(std::max<std::int64_t>(1, r.vcs_connected));
 
   // Steady-state churn with the full population resident.

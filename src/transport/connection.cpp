@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <iterator>
 #include <string>
 
 #include "obs/trace.h"
@@ -265,8 +264,7 @@ void Connection::flush() {
     retain_.clear();
   } else {
     buffer_.flush(now);
-    partials_.clear();
-    completed_.clear();
+    slots_.clear();
     delivery_queue_.clear();
     nak_tries_.clear();
     // After a seek the source's sequence counters keep running; resync to
@@ -574,7 +572,7 @@ void Connection::on_data(const net::Packet& pkt) {
     }
   }
 
-  handle_data_tpdu(std::move(*dt), pkt.wire_size());
+  handle_data_tpdu(std::move(*dt));
 
   if (window) {
     const auto frags_per_osdu = static_cast<std::uint16_t>(tpdus_for(agreed_.max_osdu_bytes));
@@ -627,8 +625,7 @@ void Connection::drop_duplicate_tpdu() {
   obs::Tracer::global().instant("TPDU.dup", trace_pid_, trace_tid_);
 }
 
-void Connection::handle_data_tpdu(DataTpdu&& dt, std::size_t wire_bytes) {
-  (void)wire_bytes;
+void Connection::handle_data_tpdu(DataTpdu&& dt) {
   const std::int64_t useq = unwrap_osdu_seq(dt.osdu_seq);
   if (next_deliver_seq_ >= 0 && useq < next_deliver_seq_) {
     // Stale: late retransmission or network duplicate of an OSDU already
@@ -636,55 +633,48 @@ void Connection::handle_data_tpdu(DataTpdu&& dt, std::size_t wire_bytes) {
     drop_duplicate_tpdu();
     return;
   }
-  if (completed_.count(useq) > 0) {
+  Slot& slot = slots_[useq];
+  if (slot.complete()) {
     // Duplicate of a completed-but-undelivered OSDU.  Without this guard
-    // it would recreate a Partial, re-complete, double-count the OSDU and
-    // re-fire the arrival hook.
+    // it would re-enter reassembly, double-count the OSDU and re-fire the
+    // arrival hook.
     drop_duplicate_tpdu();
     return;
   }
-
-  Partial& p = partials_[useq];
-  if (p.frag_count == 0) {
-    p.frag_count = dt.frag_count;
-    p.frags.resize(dt.frag_count);
-    p.event = dt.event;
-    p.src_timestamp = dt.src_timestamp;
-    p.true_submit = dt.true_submit;
+  if (slot.frag_count == 0) {
+    slot.frag_count = dt.frag_count;
+    slot.frags.resize(dt.frag_count);
+    slot.osdu.seq = dt.osdu_seq;
+    slot.osdu.event = dt.event;
+    slot.osdu.src_timestamp = dt.src_timestamp;
+    slot.osdu.true_submit = dt.true_submit;
   }
-  if (dt.frag_index >= p.frags.size()) return;  // malformed
-  if (!p.frags[dt.frag_index].empty() || (p.frag_count == 1 && p.frags_received > 0)) {
+  if (dt.frag_index >= slot.frags.size()) return;  // malformed
+  if (!slot.frags[dt.frag_index].empty()) {
     drop_duplicate_tpdu();
     return;
   }
-  p.frags[dt.frag_index] = std::move(dt.payload);
-  ++p.frags_received;
-  if (p.frags_received == p.frag_count) complete_osdu(useq);
+  slot.frags[dt.frag_index] = std::move(dt.payload);
+  ++slot.frags_received;
+  if (slot.complete()) complete_osdu(useq, slot);
 }
 
-void Connection::complete_osdu(std::int64_t osdu_seq) {
-  auto it = partials_.find(osdu_seq);
-  CMTOS_ASSERT(it != partials_.end(), "vc.reassembly");
-  if (it == partials_.end()) return;
-  Partial p = std::move(it->second);
-  partials_.erase(it);
-
-  Osdu osdu;
-  osdu.seq = static_cast<std::uint32_t>(osdu_seq);
-  osdu.event = p.event;
-  osdu.src_timestamp = p.src_timestamp;
-  osdu.true_submit = p.true_submit;
+void Connection::complete_osdu(std::int64_t osdu_seq, Slot& slot) {
+  // Moved out so a slot waiting for in-order delivery does not pin its
+  // fragments' frames; they are released when this returns.
+  const std::vector<PayloadView> frags = std::move(slot.frags);
+  Osdu& osdu = slot.osdu;
 
   std::size_t total = 0;
-  for (const auto& f : p.frags) total += f.size();
+  for (const auto& f : frags) total += f.size();
   // Fragments of one OSDU are consecutive slices of the frame the source
   // wrote, so reassembly is normally pure index arithmetic: verify
   // contiguity and re-join by extending the first fragment's view.
   bool contiguous = total > 0;
   if (contiguous) {
-    const auto* frame = p.frags.front().frame();
-    std::size_t expect_off = p.frags.front().offset();
-    for (const auto& f : p.frags) {
+    const auto* frame = frags.front().frame();
+    std::size_t expect_off = frags.front().offset();
+    for (const auto& f : frags) {
       if (f.frame() != frame || f.offset() != expect_off) {
         contiguous = false;
         break;
@@ -692,17 +682,15 @@ void Connection::complete_osdu(std::int64_t osdu_seq) {
       expect_off += f.size();
     }
   }
-  if (total == 0) {
-    osdu.data = PayloadView();
-  } else if (contiguous) {
-    osdu.data = p.frags.front().extend(total);
-  } else {
+  if (contiguous) {
+    osdu.data = frags.front().extend(total);
+  } else if (total > 0) {
     // Gather fallback (fragments from distinct frames, e.g. decoded via
     // the flat wire image): one pool-backed copy, counted in pool stats.
     auto& pool = FramePool::global();
     FrameLease lease = pool.lease(total);
     std::size_t off = 0;
-    for (const auto& f : p.frags) {
+    for (const auto& f : frags) {
       std::memcpy(lease.data() + off, f.data(), f.size());
       off += f.size();
     }
@@ -712,57 +700,47 @@ void Connection::complete_osdu(std::int64_t osdu_seq) {
 
   ++stats_.osdus_completed;
   highest_completed_seq_ = std::max<std::int64_t>(highest_completed_seq_, osdu_seq);
-  if (monitor_) monitor_->on_osdu_completed(entity_.local_now() - p.src_timestamp);
+  if (monitor_) monitor_->on_osdu_completed(entity_.local_now() - osdu.src_timestamp);
   if (on_osdu_arrival_) on_osdu_arrival_(osdu);
-
-  completed_.emplace(osdu_seq, std::move(osdu));
   deliver_ready();
 }
 
+std::int64_t Connection::first_complete_seq() const {
+  for (const auto& [seq, slot] : slots_) {
+    if (slot.complete()) return seq;
+  }
+  return -1;
+}
+
+void Connection::skip_to(std::int64_t seq) {
+  // Both sides of the subtraction live on the unwrapped 64-bit timeline,
+  // so the count stays exact across 32-bit seq wrap.
+  if (next_deliver_seq_ >= 0) stats_.osdus_skipped += seq - next_deliver_seq_;
+  slots_.erase(slots_.begin(), slots_.lower_bound(seq));
+  next_deliver_seq_ = seq;
+}
+
 void Connection::deliver_ready() {
-  if (next_deliver_seq_ < 0 && !completed_.empty()) {
-    // Resync after open/flush: adopt the first completed OSDU as the base,
-    // and release any partials stranded below it (fragments that arrived
-    // pre-resync, e.g. with a sibling checksum-dropped): nothing can
-    // complete them, and their frames must not stay pinned until close.
-    next_deliver_seq_ = completed_.begin()->first;
-    for (auto it = partials_.begin(); it != partials_.end();) {
-      it = it->first < next_deliver_seq_ ? partials_.erase(it) : std::next(it);
-    }
+  if (next_deliver_seq_ < 0) {
+    // Resync after flush: the first complete slot becomes the base, and
+    // the partials stranded below it (fragments that arrived pre-resync,
+    // e.g. with a sibling checksum-dropped) are released.
+    const std::int64_t base = first_complete_seq();
+    if (base >= 0) skip_to(base);
   }
   for (;;) {
-    auto it = completed_.find(next_deliver_seq_);
-    if (it == completed_.end()) {
-      // If the hole below the next completed OSDU cannot be explained by an
-      // outstanding transport-level recovery, the source dropped those
-      // OSDUs deliberately (Orch.Regulate max-drop#): skip ahead at once.
-      if (!completed_.empty() && nak_tries_.empty()) {
-        bool partial_below = false;
-        const std::int64_t first_ready = completed_.begin()->first;
-        for (auto& [seq, _] : partials_) {
-          if (seq >= next_deliver_seq_ && seq < first_ready) {
-            partial_below = true;
-            break;
-          }
-        }
-        if (!partial_below) {
-          // Both sides of the subtraction live on the unwrapped 64-bit
-          // timeline, so the count stays exact across 32-bit seq wrap.
-          stats_.osdus_skipped += first_ready - next_deliver_seq_;
-          // Purge partials below the skip point (give_up_on_holes does the
-          // same): any stray below the cursor would pin its frames forever
-          // once the cursor moves past it.
-          for (auto pit = partials_.begin(); pit != partials_.end();) {
-            pit = pit->first < first_ready ? partials_.erase(pit) : std::next(pit);
-          }
-          next_deliver_seq_ = first_ready;
-          continue;
-        }
-      }
-      break;
+    const auto it = slots_.lower_bound(next_deliver_seq_);
+    if (it == slots_.end() || !it->second.complete()) break;
+    if (it->first > next_deliver_seq_) {
+      // Nothing sits between the cursor and this complete OSDU.  Unless an
+      // outstanding transport-level recovery explains the hole, the source
+      // dropped those OSDUs deliberately (Orch.Regulate max-drop#): skip
+      // ahead at once.
+      if (!nak_tries_.empty()) break;
+      skip_to(it->first);
     }
-    delivery_queue_.push_back(std::move(it->second));
-    completed_.erase(it);
+    delivery_queue_.push_back(std::move(it->second.osdu));
+    slots_.erase(it);
     ++next_deliver_seq_;
     last_hole_progress_ = sched_.now();
   }
@@ -822,16 +800,10 @@ void Connection::give_up_on_holes() {
   // budget: continuous media must keep moving.
   const Duration hole_timeout =
       std::max<Duration>(50 * kMillisecond, 2 * agreed_.delay_jitter);
-  if (!completed_.empty() && next_deliver_seq_ >= 0 &&
-      completed_.begin()->first > next_deliver_seq_ &&
-      now - last_hole_progress_ > hole_timeout) {
-    const std::int64_t first_ready = completed_.begin()->first;
-    stats_.osdus_skipped += first_ready - next_deliver_seq_;
-    // Purge partials below the skip point.
-    for (auto it = partials_.begin(); it != partials_.end();) {
-      it = it->first < first_ready ? partials_.erase(it) : std::next(it);
-    }
-    next_deliver_seq_ = first_ready;
+  if (next_deliver_seq_ < 0 || now - last_hole_progress_ <= hole_timeout) return;
+  const std::int64_t first_ready = first_complete_seq();
+  if (first_ready > next_deliver_seq_) {
+    skip_to(first_ready);
     last_hole_progress_ = now;
     deliver_ready();
   }
@@ -868,7 +840,7 @@ void Connection::wake_feedback() {
 }
 
 bool Connection::reassembly_pending() const {
-  return !partials_.empty() || !completed_.empty() || !delivery_queue_.empty() ||
+  return !slots_.empty() || !delivery_queue_.empty() ||
          !nak_tries_.empty();
 }
 

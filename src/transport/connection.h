@@ -237,19 +237,39 @@ class CMTOS_SHARD_AFFINE Connection {
   void on_retransmit_timeout();
 
   // --- sink side ---
-  void handle_data_tpdu(DataTpdu&& dt, std::size_t wire_bytes);
+  /// One OSDU from its first fragment until in-order delivery moves it to
+  /// delivery_queue_.  The header fields go into `osdu` at the first
+  /// fragment; once every fragment is in, the slot is complete and
+  /// complete_osdu builds `osdu.data` from `frags`.
+  struct Slot {
+    Osdu osdu;
+    std::uint16_t frag_count = 0;
+    std::uint16_t frags_received = 0;
+    std::vector<PayloadView> frags;  // refcounted slices, no per-frag copies
+    bool complete() const { return frag_count != 0 && frags_received == frag_count; }
+  };
+  void handle_data_tpdu(DataTpdu&& dt);
   /// Discards a duplicate data TPDU (GBN stale seq, repeated fragment,
   /// re-delivery of a completed or already-consumed OSDU): counts it so a
   /// duplication storm is visible, and nothing else — a dup must never
   /// re-fire hooks or re-enter reassembly.
   void drop_duplicate_tpdu();
   void note_gap(std::uint32_t from_seq, std::uint32_t to_seq);
-  void complete_osdu(std::int64_t osdu_seq);
+  /// Builds the slot's OSDU from its fragments (the slot turns complete),
+  /// fires the arrival hooks, and delivers what is now in order.
+  void complete_osdu(std::int64_t osdu_seq, Slot& slot);
   /// Maps the 32-bit on-wire OSDU seq onto the unwrapped 64-bit delivery
   /// timeline via serial-number arithmetic (nearest projection to the
   /// delivery cursor), so reassembly state survives seq wraparound.
   std::int64_t unwrap_osdu_seq(std::uint32_t seq) const;
   void deliver_ready();
+  /// The lowest seq whose slot is complete, or -1 if none is.
+  std::int64_t first_complete_seq() const;
+  /// Moves the delivery cursor to `seq`, counting the OSDUs passed over as
+  /// skipped (none on a resync, when there is no cursor yet) and releasing
+  /// every slot below it: nothing can complete them once the cursor has
+  /// passed, and their frames must not stay pinned until close.
+  void skip_to(std::int64_t seq);
   void push_delivery_queue();
   FeedbackTpdu current_feedback() const;
   void send_feedback();
@@ -309,21 +329,13 @@ class CMTOS_SHARD_AFFINE Connection {
   Duration rto_ = 200 * kMillisecond;
 
   // === sink state ===
-  struct Partial {
-    std::uint16_t frag_count = 0;
-    std::uint16_t frags_received = 0;
-    std::uint64_t event = 0;
-    Time src_timestamp = 0;
-    Time true_submit = 0;
-    std::vector<PayloadView> frags;  // refcounted slices, no per-frag copies
-  };
   std::uint32_t expected_tpdu_seq_ = 0;
   bool tpdu_resync_ = true;  // adopt the next TPDU's seq (fresh open / after flush)
-  // Reassembly state is keyed by the *unwrapped* OSDU seq (see
+  // Reassembly slots are keyed by the *unwrapped* OSDU seq (see
   // unwrap_osdu_seq) so ordering stays correct across 32-bit wraparound.
+  // Once the cursor is set no slot sits below it.
   // In-order delivery drains these smallest-seq-first; ordered by design.
-  std::map<std::int64_t, Partial> partials_;   // unwrapped osdu_seq -> partial  // cmtos-analyze: allow(hot-path-map)
-  std::map<std::int64_t, Osdu> completed_;     // awaiting in-order delivery  // cmtos-analyze: allow(hot-path-map)
+  std::map<std::int64_t, Slot> slots_;  // unwrapped osdu_seq -> slot  // cmtos-analyze: allow(hot-path-map)
   Fifo<Osdu> delivery_queue_;                       // ready, waiting for ring space
   std::int64_t next_deliver_seq_ = 0;               // next expected OSDU seq
   std::int64_t last_delivered_seq_ = -1;

@@ -9,14 +9,18 @@ constexpr const char* kProducerSpan = "Buffer.block.producer";
 constexpr const char* kConsumerSpan = "Buffer.block.consumer";
 }  // namespace
 
+StreamBuffer::StreamBuffer(std::size_t capacity_osdus) : capacity_(capacity_osdus) {
+  CMTOS_ASSERT(capacity_osdus > 0, "buffer.capacity");
+}
+
 bool StreamBuffer::try_push(Osdu osdu, Time now) {
-  if (ring_.full()) {
+  if (full()) {
     open_producer_episode(now);
     return false;
   }
-  ring_.push(std::move(osdu));
+  ring_.push_back(std::move(osdu));
   close_producer_episode(now);
-  const bool full_now = ring_.full();
+  const bool full_now = full();
   if (consumer_blocked_since_ != kTimeNever && data_available_) data_available_();
   if (full_now && became_full_) became_full_();
   return true;
@@ -27,7 +31,8 @@ std::optional<Osdu> StreamBuffer::try_pop(Time now) {
     open_consumer_episode(now);
     return std::nullopt;
   }
-  Osdu v = ring_.pop();
+  Osdu v = std::move(ring_.front());
+  ring_.pop_front();
   close_consumer_episode(now);
   if (producer_blocked_since_ != kTimeNever && space_available_) space_available_();
   return v;
@@ -35,7 +40,10 @@ std::optional<Osdu> StreamBuffer::try_pop(Time now) {
 
 std::optional<Osdu> StreamBuffer::drop_newest(Time now) {
   if (ring_.empty()) return std::nullopt;
-  Osdu v = ring_.pop_newest();
+  // "Performed at the source by incrementing the source shared buffer
+  // pointer" (§6.3.1.1): the newest slot is freed for the next OSDU.
+  Osdu v = std::move(ring_.back());
+  ring_.pop_back();
   // A drop frees space exactly like a pop: unblock the producer.
   const bool producer_was_blocked = producer_blocked_since_ != kTimeNever;
   close_producer_episode(now);
@@ -45,7 +53,8 @@ std::optional<Osdu> StreamBuffer::drop_newest(Time now) {
 
 std::optional<Osdu> StreamBuffer::shed_oldest(Time now) {
   if (ring_.empty()) return std::nullopt;
-  Osdu v = ring_.pop();
+  Osdu v = std::move(ring_.front());
+  ring_.pop_front();
   // Frees a slot like a pop, but no space-available signal: the shedding
   // caller (Connection::push_delivery_queue) immediately refills the slot
   // and a callback here would re-enter it.

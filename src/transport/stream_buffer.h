@@ -18,6 +18,11 @@
 // Orch.Regulate.indication (§6.3.1.2).  A true multi-threaded variant with
 // std::counting_semaphore lives in transport/threaded_buffer.h and is
 // exercised by the A3 micro-benchmark.
+//
+// The OSDUs sit in a util/fifo.h ring behind the capacity bound: the
+// paper's circular buffer of `capacity` slots, whose storage is allocated
+// on the first push (a VC that never carries data costs no ring) and then
+// kept, so steady-state pushes and pops allocate nothing.
 
 #pragma once
 
@@ -28,7 +33,7 @@
 
 #include "obs/trace.h"
 #include "transport/osdu.h"
-#include "util/ring_buffer.h"
+#include "util/fifo.h"
 #include "util/time.h"
 #include "util/thread_annotations.h"
 
@@ -42,13 +47,13 @@ struct BlockStats {
 
 class CMTOS_SHARD_AFFINE StreamBuffer {
  public:
-  explicit StreamBuffer(std::size_t capacity_osdus) : ring_(capacity_osdus) {}
+  explicit StreamBuffer(std::size_t capacity_osdus);
 
-  std::size_t capacity() const { return ring_.capacity(); }
+  std::size_t capacity() const { return capacity_; }
   std::size_t size() const { return ring_.size(); }
-  std::size_t free_slots() const { return ring_.capacity() - ring_.size(); }
+  std::size_t free_slots() const { return capacity_ - ring_.size(); }
   bool empty() const { return ring_.empty(); }
-  bool full() const { return ring_.full(); }
+  bool full() const { return ring_.size() == capacity_; }
 
   /// Producer side.  On failure (full) opens the producer block episode.
   /// On success closes it and, if a consumer was blocked on empty, invokes
@@ -114,7 +119,8 @@ class CMTOS_SHARD_AFFINE StreamBuffer {
   void open_consumer_episode(Time now);
   void close_consumer_episode(Time now);
 
-  RingBuffer<Osdu> ring_;
+  Fifo<Osdu> ring_;
+  std::size_t capacity_;
   bool delivery_enabled_ = true;
 
   std::function<void()> data_available_;

@@ -6,7 +6,9 @@
 // std::deque, by contrast, allocates a map and a block on construction
 // and frees and re-allocates blocks as a queue slides through them — for
 // the link band queues and a source's fragment queue that was one heap
-// allocation every few packets in steady state.
+// allocation every few packets in steady state.  It also backs the §3.7
+// stream buffer (transport/stream_buffer.h), which bounds it at the
+// buffer's capacity and drops its newest OSDU through back()/pop_back().
 //
 // Not synchronised: each queue belongs to one shard.
 
@@ -53,6 +55,7 @@ class Fifo {
   const T& operator[](std::size_t i) const noexcept { return buf_[slot(i)]; }
   T& front() noexcept { return (*this)[0]; }
   const T& front() const noexcept { return (*this)[0]; }
+  T& back() noexcept { return (*this)[size_ - 1]; }
 
   void push_back(T&& v) {
     if (size_ == cap_) grow();

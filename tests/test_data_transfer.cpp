@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "fixtures.h"
 
 namespace cmtos::test {
@@ -420,6 +422,103 @@ TEST(DataTransfer, StatsCountersConsistent) {
   EXPECT_EQ(snk.osdus_delivered, 20);
   EXPECT_EQ(snk.tpdus_lost, 0);
   EXPECT_EQ(snk.tpdus_corrupt, 0);
+}
+
+// --- Sink reassembly from scripted DT packets ---
+
+/// One scripted input to a sink: a data TPDU carrying one fragment, a
+/// sink flush (stop-seek-restart), or 300 ms of simulated time (past the
+/// 100 ms hole timeout, so the feedback tick gives up on stalled holes).
+struct RxStep {
+  enum Kind : std::uint8_t { kFrag, kFlush, kWait } kind = kFrag;
+  std::uint32_t tpdu_seq = 0;
+  std::uint32_t osdu_seq = 0;
+  std::uint16_t frag_index = 0;
+  std::uint16_t frag_count = 1;
+};
+
+RxStep frag(std::uint32_t tpdu_seq, std::uint32_t osdu_seq, std::uint16_t frag_index,
+            std::uint16_t frag_count) {
+  return {RxStep::kFrag, tpdu_seq, osdu_seq, frag_index, frag_count};
+}
+RxStep flush_sink() { return {RxStep::kFlush}; }
+RxStep wait_past_hole_timeout() { return {RxStep::kWait}; }
+
+struct ReorderRow {
+  const char* name;
+  std::vector<RxStep> steps;
+  std::vector<std::uint32_t> delivered;
+  std::int64_t osdus_skipped;
+  std::int64_t tpdus_dup_dropped;
+};
+
+// kIndicate: a TPDU gap is counted as loss and never NAKed, so no
+// transport-level recovery is ever outstanding.  OSDU n's fragments are
+// consecutive slices of one frame filled with n.
+TEST(Reassembly, ScriptedFragmentsDeliverSkipAndDropAsExpected) {
+  const std::vector<ReorderRow> rows = {
+      {"fragments out of order",
+       {frag(2, 0, 2, 3), frag(0, 0, 0, 3), frag(1, 0, 1, 3), frag(3, 1, 0, 1)},
+       {0, 1}, 0, 0},
+      {"duplicate of a completed-but-undelivered OSDU",
+       {frag(0, 0, 0, 2), frag(2, 1, 0, 1), frag(2, 1, 0, 1), frag(1, 0, 1, 2)},
+       {0, 1}, 0, 1},
+      {"complete OSDU above a partial, no NAK outstanding",
+       {frag(0, 0, 0, 2), frag(2, 2, 0, 1), frag(1, 0, 1, 2)},
+       {0, 2}, 1, 0},
+      {"hole timeout skips and purges a partial",
+       {frag(0, 0, 0, 2), frag(2, 1, 0, 1), wait_past_hole_timeout(), frag(1, 0, 1, 2)},
+       {1}, 1, 1},
+      {"flush, then resync past a stranded partial",
+       {frag(0, 0, 0, 1), flush_sink(), frag(5, 7, 0, 2), frag(7, 8, 0, 1), frag(6, 7, 1, 2)},
+       {0, 8}, 0, 1},
+  };
+  constexpr std::size_t kFragBytes = 16;
+  for (const auto& row : rows) {
+    SCOPED_TRACE(row.name);
+    PairPlatform w;
+    auto req = basic_request({w.a->id, 1}, {w.b->id, 2}, 100.0, 1024);
+    req.service_class.error_control = ErrorControl::kIndicate;
+    Wire wire(w, req);
+    ASSERT_NE(wire.sink, nullptr);
+
+    std::map<std::uint32_t, PayloadView> frames;
+    std::vector<std::uint32_t> delivered;
+    for (const auto& step : row.steps) {
+      if (step.kind == RxStep::kFlush) {
+        wire.sink->flush();
+      } else if (step.kind == RxStep::kWait) {
+        w.platform.run_until(w.platform.scheduler().now() + 300 * kMillisecond);
+      } else {
+        auto [it, fresh] = frames.try_emplace(step.osdu_seq);
+        if (fresh)
+          it->second = PayloadView::adopt(
+              payload(kFragBytes * step.frag_count, static_cast<std::uint8_t>(step.osdu_seq)));
+        transport::DataTpdu dt;
+        dt.vc = wire.vc;
+        dt.tpdu_seq = step.tpdu_seq;
+        dt.osdu_seq = step.osdu_seq;
+        dt.frag_index = step.frag_index;
+        dt.frag_count = step.frag_count;
+        dt.payload = it->second.subview(kFragBytes * step.frag_index, kFragBytes);
+        net::Packet pkt;
+        pkt.src = w.a->id;
+        pkt.dst = w.b->id;
+        pkt.proto = net::Proto::kTransportData;
+        pkt.priority = net::Priority::kMedia;
+        dt.encode_onto(pkt);
+        wire.sink->on_data(pkt);
+      }
+      for (const auto& o : drain(*wire.sink)) {
+        delivered.push_back(o.seq);
+        ASSERT_EQ(o.data.size(), frames.at(o.seq).size());  // whole OSDU
+        EXPECT_EQ(o.data[0], static_cast<std::uint8_t>(o.seq));
+      }
+    }
+    EXPECT_EQ(delivered, row.delivered);
+    EXPECT_EQ(wire.sink->stats().osdus_skipped, row.osdus_skipped);
+    EXPECT_EQ(wire.sink->stats().tpdus_dup_dropped, row.tpdus_dup_dropped);
+  }
 }
 
 // --- Rate feedback: sent when it changes; a stalled source probes ---

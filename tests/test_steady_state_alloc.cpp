@@ -28,6 +28,7 @@
 #include "media/content.h"
 #include "net/network.h"
 #include "sim/scheduler.h"
+#include "transport/stream_buffer.h"
 #include "transport/tpdu.h"
 #include "util/frame_pool.h"
 
@@ -245,6 +246,53 @@ TEST(SteadyStateAlloc, DataTpduRoundTripAllocatesNothingPerTpdu) {
   EXPECT_EQ(full, half) << "a burst of " << kBurst << " TPDUs made " << full
                         << " heap allocations, a burst of " << kBurst / 2 << " made " << half;
   EXPECT_LE(full, 3) << "allocations beyond the burst vector, head box and batch vector";
+}
+
+// A VC's shared ring (§3.7) costs nothing until data flows: building a
+// StreamBuffer allocates no slots, the first push allocates the storage,
+// and once it has held `capacity` OSDUs it keeps that storage.  The VC
+// half opens idle VCs with a 64-slot and a 2-slot ring: with lazy storage
+// the heap bytes requested do not depend on the capacity (64 eager slots
+// per endpoint would cost 62 * sizeof(Osdu) more each).
+TEST(SteadyStateAlloc, IdleStreamBufferAllocatesNothing) {
+  {
+    const std::int64_t heap0 = bench::heap_allocs();
+    transport::StreamBuffer b(64);
+    EXPECT_EQ(bench::heap_allocs() - heap0, 0) << "ring storage allocated at construction";
+    ASSERT_TRUE(b.try_push(transport::Osdu{}, 0));
+    EXPECT_GT(bench::heap_allocs() - heap0, 0) << "the first push allocates the storage";
+    while (b.try_push(transport::Osdu{}, 0)) {
+    }
+    while (b.try_pop(0)) {
+    }
+    const std::int64_t warm = bench::heap_allocs();
+    while (b.try_push(transport::Osdu{}, 0)) {
+    }
+    EXPECT_EQ(b.size(), 64u);
+    EXPECT_EQ(bench::heap_allocs() - warm, 0) << "a refill to capacity allocated";
+  }
+
+  constexpr int kVcs = 8;
+  const auto open_idle_vcs = [&](std::uint32_t buffer_osdus) {
+    PairPlatform w(lan_link(), 5);
+    ScriptedUser src_user(w.a->entity), dst_user(w.b->entity);
+    w.a->entity.bind(1, &src_user);
+    w.b->entity.bind(2, &dst_user);
+    const std::int64_t bytes0 = bench::heap_alloc_bytes();
+    for (int i = 0; i < kVcs; ++i) {
+      auto req = basic_request({w.a->id, 1}, {w.b->id, 2}, 25.0, 512);
+      req.buffer_osdus = buffer_osdus;
+      (void)w.a->entity.t_connect_request(req);
+    }
+    w.platform.run_until(1 * kSecond);
+    EXPECT_EQ(src_user.confirms.size(), static_cast<std::size_t>(kVcs));
+    return bench::heap_alloc_bytes() - bytes0;
+  };
+  (void)open_idle_vcs(2);  // warm-up: process-wide first-use allocations
+  const std::int64_t big = open_idle_vcs(64);
+  const std::int64_t small = open_idle_vcs(2);
+  EXPECT_EQ(big, small) << "opening " << kVcs << " idle VCs requested " << big
+                        << " heap bytes with 64-slot rings, " << small << " with 2-slot rings";
 }
 
 }  // namespace

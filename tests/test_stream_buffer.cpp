@@ -20,11 +20,19 @@ TEST(StreamBuffer, PushPopFifo) {
   StreamBuffer b(4);
   EXPECT_TRUE(b.try_push(osdu(0), 0));
   EXPECT_TRUE(b.try_push(osdu(1), 0));
+  EXPECT_TRUE(b.try_push(osdu(2), 0));
   auto a = b.try_pop(1);
   ASSERT_TRUE(a);
   EXPECT_EQ(a->seq, 0u);
   EXPECT_EQ(b.try_pop(1)->seq, 1u);
-  EXPECT_FALSE(b.try_pop(1).has_value());
+  // Refill past the slots already popped: order survives the wrap.
+  EXPECT_TRUE(b.try_push(osdu(3), 2));
+  EXPECT_TRUE(b.try_push(osdu(4), 2));
+  EXPECT_TRUE(b.try_push(osdu(5), 2));
+  EXPECT_TRUE(b.full());
+  for (std::uint32_t seq = 2; seq <= 5; ++seq) EXPECT_EQ(b.try_pop(3)->seq, seq);
+  EXPECT_TRUE(b.empty());
+  EXPECT_FALSE(b.try_pop(3).has_value());
 }
 
 TEST(StreamBuffer, PushFailsWhenFull) {
@@ -130,17 +138,21 @@ TEST(StreamBuffer, HoldTimeCountsAsConsumerBlocking) {
 }
 
 TEST(StreamBuffer, DropNewestIsLifoAndSignalsSpace) {
-  StreamBuffer b(2);
+  StreamBuffer b(3);
   int signalled = 0;
   b.set_space_available([&] { ++signalled; });
   ASSERT_TRUE(b.try_push(osdu(0), 0));
   ASSERT_TRUE(b.try_push(osdu(1), 0));
-  EXPECT_FALSE(b.try_push(osdu(2), 5));  // producer blocked
+  ASSERT_TRUE(b.try_push(osdu(2), 0));
+  EXPECT_FALSE(b.try_push(osdu(3), 5));  // producer blocked
   auto victim = b.drop_newest(10);
   ASSERT_TRUE(victim);
-  EXPECT_EQ(victim->seq, 1u);  // newest discarded, oldest survives
+  EXPECT_EQ(victim->seq, 2u);  // newest discarded, oldest survives
   EXPECT_EQ(signalled, 1);
-  EXPECT_EQ(b.try_pop(11)->seq, 0u);
+  EXPECT_EQ(b.drop_newest(11)->seq, 1u);  // LIFO: then the next newest
+  EXPECT_EQ(signalled, 1);                // the producer was no longer blocked
+  EXPECT_EQ(b.try_pop(12)->seq, 0u);
+  EXPECT_TRUE(b.empty());
 }
 
 TEST(StreamBuffer, DropNewestWhileConsumerBlockedKeepsEpisode) {

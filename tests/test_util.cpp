@@ -12,7 +12,6 @@
 #include "util/byte_io.h"
 #include "util/checksum.h"
 #include "util/fifo.h"
-#include "util/ring_buffer.h"
 #include "util/rng.h"
 #include "util/small_bytes.h"
 #include "util/stats.h"
@@ -179,45 +178,6 @@ TEST(Histogram, BucketsAndOverflow) {
   EXPECT_EQ(h.total(), 6);
 }
 
-TEST(RingBuffer, FifoOrder) {
-  RingBuffer<int> rb(4);
-  rb.push(1);
-  rb.push(2);
-  rb.push(3);
-  EXPECT_EQ(rb.pop(), 1);
-  EXPECT_EQ(rb.pop(), 2);
-  rb.push(4);
-  rb.push(5);
-  rb.push(6);
-  EXPECT_TRUE(rb.full());
-  EXPECT_EQ(rb.pop(), 3);
-  EXPECT_EQ(rb.pop(), 4);
-  EXPECT_EQ(rb.pop(), 5);
-  EXPECT_EQ(rb.pop(), 6);
-  EXPECT_TRUE(rb.empty());
-}
-
-TEST(RingBuffer, PopNewestDropsLifo) {
-  RingBuffer<int> rb(4);
-  rb.push(1);
-  rb.push(2);
-  rb.push(3);
-  EXPECT_EQ(rb.pop_newest(), 3);  // drop-at-source semantics
-  EXPECT_EQ(rb.pop_newest(), 2);
-  EXPECT_EQ(rb.pop(), 1);
-  EXPECT_TRUE(rb.empty());
-}
-
-TEST(RingBuffer, WrapAroundStress) {
-  RingBuffer<int> rb(3);
-  int next_in = 0, next_out = 0;
-  for (int round = 0; round < 100; ++round) {
-    while (!rb.full()) rb.push(next_in++);
-    while (!rb.empty()) EXPECT_EQ(rb.pop(), next_out++);
-  }
-  EXPECT_EQ(next_in, next_out);
-}
-
 TEST(ByteIo, RoundTripsAllTypes) {
   std::vector<std::uint8_t> buf;
   ByteWriter w(buf);
@@ -323,11 +283,11 @@ TEST(Fifo, BothEndsAcrossGrowthAndWrap) {
   const std::size_t cap = q.capacity();
   EXPECT_EQ(cap & (cap - 1), 0u);
   EXPECT_EQ(q[0], next_out);
-  EXPECT_EQ(q[q.size() - 1], next_in - 1);
+  EXPECT_EQ(q.back(), next_in - 1);
   q.push_front(-1);
   EXPECT_EQ(q.front(), -1);
   q.pop_back();
-  EXPECT_EQ(q[q.size() - 1], next_in - 2);
+  EXPECT_EQ(q.back(), next_in - 2);
   q.clear();
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.capacity(), cap);  // clear keeps the capacity
